@@ -1,10 +1,9 @@
 #include "sim/cache.h"
 
-namespace hmd::sim {
+#include <algorithm>
+#include <bit>
 
-namespace {
-constexpr bool is_pow2(std::uint32_t v) { return v && (v & (v - 1)) == 0; }
-}  // namespace
+namespace hmd::sim {
 
 std::string_view replacement_policy_name(ReplacementPolicy policy) {
   switch (policy) {
@@ -16,140 +15,119 @@ std::string_view replacement_policy_name(ReplacementPolicy policy) {
   throw PreconditionError("unknown replacement policy");
 }
 
-Cache::Cache(CacheGeometry geo) : geo_(geo) {
-  HMD_REQUIRE_MSG(is_pow2(geo_.sets), "cache sets must be a power of two");
+Cache::Cache(CacheGeometry geo)
+    : geo_(geo),
+      policy_(geo.policy),
+      ways_(geo.ways),
+      line_shift_(
+          static_cast<std::uint32_t>(std::countr_zero(geo.line_bytes))),
+      tag_shift_(line_shift_ +
+                 static_cast<std::uint32_t>(std::countr_zero(geo.sets))),
+      set_mask_(geo.sets - 1) {
+  HMD_REQUIRE_MSG(std::has_single_bit(geo_.sets),
+                  "cache sets must be a power of two");
   HMD_REQUIRE(geo_.ways >= 1);
-  HMD_REQUIRE(is_pow2(geo_.line_bytes));
-  lines_.resize(static_cast<std::size_t>(geo_.sets) * geo_.ways);
-  plru_applicable_ =
-      geo_.policy == ReplacementPolicy::kTreePlru && is_pow2(geo_.ways);
-  if (plru_applicable_) plru_.assign(geo_.sets, 0);
+  HMD_REQUIRE(std::has_single_bit(geo_.line_bytes));
+  HMD_REQUIRE_MSG(tag_shift_ >= 1, "cache needs sets * line_bytes >= 2");
+  if (policy_ == ReplacementPolicy::kTreePlru) {
+    if (std::has_single_bit(geo_.ways))
+      plru_.assign(geo_.sets, 0);
+    else
+      policy_ = ReplacementPolicy::kLru;
+  }
+  slots_.resize(static_cast<std::size_t>(geo_.sets) * 2 * ways_);
+  flush();
 }
 
-std::size_t Cache::pick_victim(std::size_t set, std::size_t base) {
-  // Invalid way first, under every policy.
-  for (std::size_t w = 0; w < geo_.ways; ++w)
-    if (!lines_[base + w].valid) return base + w;
-
-  switch (geo_.policy) {
-    case ReplacementPolicy::kRandom: {
-      rand_state_ = rand_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
-      return base + ((rand_state_ >> 33) % geo_.ways);
-    }
-    case ReplacementPolicy::kTreePlru:
-      if (plru_applicable_) {
-        // Walk the tree: each bit says which half was touched less recently.
-        std::uint32_t bits = plru_[set];
-        std::size_t node = 0;  // index within the implicit tree
-        std::size_t lo = 0, span = geo_.ways;
-        while (span > 1) {
-          const bool right = (bits >> node) & 1u;
-          span /= 2;
-          if (right) lo += span;
-          node = 2 * node + 1 + (right ? 1 : 0);
-        }
-        return base + lo;
+std::uint32_t Cache::pick_victim(std::size_t set, std::uint32_t oldest) {
+  switch (policy_) {
+    case ReplacementPolicy::kRandom:
+      rand_state_ =
+          rand_state_ * 6364136223846793005ULL + 1442695040888963407ULL;
+      return static_cast<std::uint32_t>((rand_state_ >> 33) % ways_);
+    case ReplacementPolicy::kTreePlru: {
+      // Walk the tree: each bit says which half was touched less recently.
+      const std::uint32_t bits = plru_[set];
+      std::uint32_t node = 0;  // index within the implicit tree
+      std::uint32_t lo = 0;
+      for (std::uint32_t span = ways_ / 2; span >= 1; span /= 2) {
+        const std::uint32_t right = (bits >> node) & 1u;
+        lo += right * span;
+        node = 2 * node + 1 + right;
       }
-      [[fallthrough]];
+      return lo;
+    }
     case ReplacementPolicy::kLru:
-    case ReplacementPolicy::kFifo: {
+    case ReplacementPolicy::kFifo:
       // Both use the stamp; FIFO simply never refreshes it on hits.
-      std::size_t victim = base;
-      std::uint64_t oldest = ~0ULL;
-      for (std::size_t w = 0; w < geo_.ways; ++w) {
-        if (lines_[base + w].stamp < oldest) {
-          oldest = lines_[base + w].stamp;
-          victim = base + w;
-        }
-      }
-      return victim;
-    }
+      return oldest;
   }
   throw InvariantError("unreachable replacement policy");
 }
 
-void Cache::touch(std::size_t set, std::size_t base, std::size_t way,
-                  bool is_insert) {
-  ++tick_;
-  Line& line = lines_[base + way];
-  switch (geo_.policy) {
-    case ReplacementPolicy::kLru:
-      line.stamp = tick_;
-      break;
-    case ReplacementPolicy::kFifo:
-      if (is_insert) line.stamp = tick_;
-      break;
-    case ReplacementPolicy::kRandom:
-      break;
-    case ReplacementPolicy::kTreePlru:
-      if (plru_applicable_) {
-        // Flip the path bits away from the touched way.
-        std::uint32_t& bits = plru_[set];
-        std::size_t node = 0;
-        std::size_t lo = 0, span = geo_.ways;
-        while (span > 1) {
-          span /= 2;
-          const bool right = way >= lo + span;
-          // Point the bit at the *other* half.
-          if (right) {
-            bits &= ~(1u << node);
-            lo += span;
-          } else {
-            bits |= (1u << node);
-          }
-          node = 2 * node + 1 + (right ? 1 : 0);
-        }
-      } else {
-        line.stamp = tick_;
-      }
-      break;
+void Cache::touch_plru(std::size_t set, std::uint32_t way) {
+  std::uint32_t& bits = plru_[set];
+  std::uint32_t node = 0;
+  std::uint32_t lo = 0;
+  for (std::uint32_t span = ways_ / 2; span >= 1; span /= 2) {
+    // Point the bit at the *other* half.
+    const std::uint32_t right = way >= lo + span ? 1u : 0u;
+    bits = (bits & ~(1u << node)) | ((right ^ 1u) << node);
+    lo += right * span;
+    node = 2 * node + 1 + right;
   }
+}
+
+bool Cache::lookup(std::size_t set, std::uint64_t tag) {
+  std::uint64_t* tags = tags_of(set);
+  std::uint64_t* stamps = tags + ways_;
+  // A branch-free pass over the tags finds the way holding `tag`; at most
+  // one does.
+  std::uint32_t hit = ways_;
+  for (std::uint32_t w = 0; w < ways_; ++w) hit = tags[w] == tag ? w : hit;
+  ++tick_;
+  if (hit != ways_) {
+    if (policy_ == ReplacementPolicy::kLru)
+      stamps[hit] = tick_;
+    else if (policy_ == ReplacementPolicy::kTreePlru)
+      touch_plru(set, hit);
+    return true;
+  }
+  // A miss takes the first way with the smallest stamp. Invalid ways have
+  // stamp 0 and valid ones at least 1, so that is the first invalid way if
+  // there is one, else the least recently stamped.
+  std::uint32_t oldest = 0;
+  std::uint64_t oldest_stamp = stamps[0];
+  for (std::uint32_t w = 1; w < ways_; ++w) {
+    const bool older = stamps[w] < oldest_stamp;
+    oldest = older ? w : oldest;
+    oldest_stamp = older ? stamps[w] : oldest_stamp;
+  }
+  const std::uint32_t way =
+      oldest_stamp == 0 ? oldest : pick_victim(set, oldest);
+  tags[way] = tag;
+  stamps[way] = tick_;
+  if (policy_ == ReplacementPolicy::kTreePlru) touch_plru(set, way);
+  return false;
 }
 
 bool Cache::access(std::uint64_t address) {
   ++accesses_;
-  const std::size_t set = set_index(address);
-  const std::size_t base = set * geo_.ways;
-  const std::uint64_t tag = tag_of(address);
-
-  for (std::size_t w = 0; w < geo_.ways; ++w) {
-    Line& line = lines_[base + w];
-    if (line.valid && line.tag == tag) {
-      touch(set, base, w, /*is_insert=*/false);
-      return true;
-    }
-  }
-  ++misses_;
-  const std::size_t victim = pick_victim(set, base);
-  lines_[victim] = Line{tag, 0, true};
-  touch(set, base, victim - base, /*is_insert=*/true);
-  return false;
+  const bool hit = lookup(set_of(address), tag_of(address));
+  misses_ += hit ? 0 : 1;
+  return hit;
 }
 
 bool Cache::probe(std::uint64_t address) const {
-  const std::size_t base = set_index(address) * geo_.ways;
+  const std::uint64_t* tags = tags_of(set_of(address));
   const std::uint64_t tag = tag_of(address);
-  for (std::size_t w = 0; w < geo_.ways; ++w) {
-    const Line& line = lines_[base + w];
-    if (line.valid && line.tag == tag) return true;
-  }
-  return false;
+  bool hit = false;
+  for (std::uint32_t w = 0; w < ways_; ++w) hit |= tags[w] == tag;
+  return hit;
 }
 
 void Cache::fill(std::uint64_t address) {
-  const std::size_t set = set_index(address);
-  const std::size_t base = set * geo_.ways;
-  const std::uint64_t tag = tag_of(address);
-  for (std::size_t w = 0; w < geo_.ways; ++w) {
-    Line& line = lines_[base + w];
-    if (line.valid && line.tag == tag) {
-      touch(set, base, w, /*is_insert=*/false);
-      return;  // already present
-    }
-  }
-  const std::size_t victim = pick_victim(set, base);
-  lines_[victim] = Line{tag, 0, true};
-  touch(set, base, victim - base, /*is_insert=*/true);
+  lookup(set_of(address), tag_of(address));
 }
 
 void Cache::reset() {
@@ -161,19 +139,33 @@ void Cache::reset() {
 }
 
 void Cache::flush() {
-  for (Line& line : lines_) line.valid = false;
-  if (plru_applicable_) plru_.assign(geo_.sets, 0);
+  for (std::size_t set = 0; set < geo_.sets; ++set) {
+    std::uint64_t* tags = tags_of(set);
+    std::fill_n(tags, ways_, kInvalidTag);
+    std::fill_n(tags + ways_, ways_, 0);
+  }
+  std::fill(plru_.begin(), plru_.end(), 0);
 }
 
 void Cache::pollute(double fraction, std::uint64_t mix) {
-  if (fraction <= 0.0) return;
+  // Written so that NaN fails it too.
+  HMD_REQUIRE_MSG(fraction >= 0.0 && fraction <= 1.0,
+                  "pollute fraction must be in [0, 1]");
+  if (fraction == 0.0) return;
   const auto threshold = static_cast<std::uint64_t>(
       fraction * 1024.0);  // fraction in 1/1024 units
   std::uint64_t h = mix | 1;
-  for (Line& line : lines_) {
-    // Cheap LCG walk; quality is irrelevant for eviction noise.
-    h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-    if ((h >> 33) % 1024 < threshold) line.valid = false;
+  for (std::size_t set = 0; set < geo_.sets; ++set) {
+    std::uint64_t* tags = tags_of(set);
+    std::uint64_t* stamps = tags + ways_;
+    for (std::uint32_t w = 0; w < ways_; ++w) {
+      // Cheap LCG walk; quality is irrelevant for eviction noise.
+      h = h * 6364136223846793005ULL + 1442695040888963407ULL;
+      if ((h >> 33) % 1024 < threshold) {
+        tags[w] = kInvalidTag;
+        stamps[w] = 0;
+      }
+    }
   }
 }
 

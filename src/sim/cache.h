@@ -11,6 +11,11 @@
 //   kRandom  — uniform random victim (deterministic internal stream)
 //   kTreePlru— tree pseudo-LRU (power-of-two associativity; falls back to
 //              true LRU for other way counts)
+//
+// Every policy shares one layout: per set, an array of tags and an array of
+// stamps, indexed with shifts and masks. An invalid way is a sentinel tag
+// with stamp 0 and every valid stamp is at least 1, so "first invalid way,
+// else oldest stamp" is one first-argmin over the stamps (DESIGN.md §2).
 #pragma once
 
 #include <cstdint>
@@ -62,9 +67,9 @@ class Cache {
   /// Drop contents but keep statistics (e.g. TLB flush on context switch).
   void flush();
 
-  /// Invalidate a random `fraction` of lines — models pollution by other
-  /// processes sharing the cache across a context switch. `mix` is a
-  /// caller-supplied random word (kept raw to avoid an Rng dependency).
+  /// Invalidate a random `fraction` (in [0, 1]) of lines — models pollution
+  /// by other processes sharing the cache across a context switch. `mix` is
+  /// a caller-supplied random word (kept raw to avoid an Rng dependency).
   void pollute(double fraction, std::uint64_t mix);
 
   std::uint64_t accesses() const { return accesses_; }
@@ -72,29 +77,43 @@ class Cache {
   const CacheGeometry& geometry() const { return geo_; }
 
  private:
-  struct Line {
-    std::uint64_t tag = 0;
-    std::uint64_t stamp = 0;  ///< LRU recency or FIFO insertion order
-    bool valid = false;
-  };
+  /// Tag of an invalid way. A real tag is an address shifted right by at
+  /// least one bit (the constructor requires sets * line_bytes >= 2), so no
+  /// real tag reaches it.
+  static constexpr std::uint64_t kInvalidTag = ~0ULL;
 
-  std::size_t set_index(std::uint64_t address) const {
-    return static_cast<std::size_t>((address / geo_.line_bytes) &
-                                    (geo_.sets - 1));
+  std::size_t set_of(std::uint64_t address) const {
+    return static_cast<std::size_t>((address >> line_shift_) & set_mask_);
   }
   std::uint64_t tag_of(std::uint64_t address) const {
-    return (address / geo_.line_bytes) / geo_.sets;
+    return address >> tag_shift_;
+  }
+  /// The set's `ways` tags; its `ways` stamps follow them.
+  std::uint64_t* tags_of(std::size_t set) { return &slots_[set * 2 * ways_]; }
+  const std::uint64_t* tags_of(std::size_t set) const {
+    return &slots_[set * 2 * ways_];
   }
 
-  /// Victim way within [base, base+ways) per the configured policy.
-  std::size_t pick_victim(std::size_t set, std::size_t base);
-  void touch(std::size_t set, std::size_t base, std::size_t way,
-             bool is_insert);
+  /// Look `tag` up in `set` and, on a miss, allocate it. True on hit.
+  bool lookup(std::size_t set, std::uint64_t tag);
+  /// Victim way of a full set; `oldest` is its first oldest-stamp way.
+  std::uint32_t pick_victim(std::size_t set, std::uint32_t oldest);
+  /// Point the set's tree-PLRU bits away from `way`.
+  void touch_plru(std::size_t set, std::uint32_t way);
 
   CacheGeometry geo_;
-  std::vector<Line> lines_;           ///< sets × ways, row-major by set
+  /// The policy as simulated: tree-PLRU on a non-power-of-two way count
+  /// runs as true LRU.
+  ReplacementPolicy policy_;
+  std::uint32_t ways_;
+  std::uint32_t line_shift_;
+  std::uint32_t tag_shift_;
+  std::uint64_t set_mask_;
+  /// Per set, `ways` tags then `ways` stamps (LRU recency, or insertion
+  /// order). An invalid way holds kInvalidTag and stamp 0; every valid way
+  /// has a stamp of at least 1.
+  std::vector<std::uint64_t> slots_;
   std::vector<std::uint32_t> plru_;   ///< per-set tree bits (kTreePlru)
-  bool plru_applicable_ = false;
   std::uint64_t tick_ = 0;
   std::uint64_t rand_state_ = 0x9E3779B97F4A7C15ULL;
   std::uint64_t accesses_ = 0;

@@ -104,7 +104,6 @@ std::uint64_t Machine::data_address(bool kernel, const PhaseSpec& ph,
 
   const bool scatter_store = is_store && rng.chance(ph.store_scatter);
   std::uint64_t page;
-  bool sequential = false;
   if (!scatter_store && rng.chance(ph.hot_access_prob)) {
     if (rng.chance(ph.sequential_prob)) {
       // Streaming pointer walks the hot region with the phase stride.
@@ -112,7 +111,6 @@ std::uint64_t Machine::data_address(bool kernel, const PhaseSpec& ph,
           static_cast<std::uint64_t>(hot_pages) * kPageBytes;
       seq_ptr_ = (seq_ptr_ + std::max<std::uint32_t>(ph.stride_bytes, 1)) %
                  hot_bytes;
-      sequential = true;
       page = seq_ptr_ / kPageBytes;
       const std::uint64_t page_id = mix64(layout_seed_ ^ (0xDA7AULL + page));
       return kUserDataBase + (page_id & 0xFFF) * kPageBytes +
@@ -122,7 +120,6 @@ std::uint64_t Machine::data_address(bool kernel, const PhaseSpec& ph,
   } else {
     page = hot_pages + rng.below(std::max<std::uint32_t>(pages - hot_pages, 1));
   }
-  (void)sequential;
   const std::uint64_t page_id = mix64(layout_seed_ ^ (0xDA7AULL + page));
   return kUserDataBase + (page_id & 0xFFF) * kPageBytes + rng.below(64) * 64;
 }

@@ -3,6 +3,8 @@
 // catalog.
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <set>
 
 #include "sim/branch_predictor.h"
@@ -131,6 +133,23 @@ TEST(Cache, PolluteInvalidatesRoughFraction) {
     if (c.probe(line * 64)) ++survivors;
   EXPECT_GT(survivors, 150u);
   EXPECT_LT(survivors, 360u);
+}
+
+TEST(Cache, PolluteRejectsFractionsOutsideUnitInterval) {
+  Cache c({64, 8, 64});
+  for (const double bad : {std::nan(""), -0.25, 1.5,
+                           std::numeric_limits<double>::infinity(),
+                           -std::numeric_limits<double>::infinity()})
+    EXPECT_THROW(c.pollute(bad, 0x1234), PreconditionError) << bad;
+  EXPECT_NO_THROW(c.pollute(0.0, 0x1234));
+  EXPECT_NO_THROW(c.pollute(1.0, 0x1234));
+}
+
+TEST(Cache, GeometryWithoutIndexOrOffsetBitsRejected) {
+  // One set of one-byte lines would leave every address bit in the tag.
+  EXPECT_THROW(Cache({1, 4, 1}), PreconditionError);
+  EXPECT_NO_THROW(Cache({2, 4, 1}));
+  EXPECT_NO_THROW(Cache({1, 4, 2}));
 }
 
 // ------------------------------------------------------- branch predictor --
