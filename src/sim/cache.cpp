@@ -159,12 +159,13 @@ void Cache::pollute(double fraction, std::uint64_t mix) {
     std::uint64_t* tags = tags_of(set);
     std::uint64_t* stamps = tags + ways_;
     for (std::uint32_t w = 0; w < ways_; ++w) {
-      // Cheap LCG walk; quality is irrelevant for eviction noise.
+      // Cheap LCG walk; quality is irrelevant for eviction noise. The
+      // eviction is a mask, not a branch: it is taken at random.
       h = h * 6364136223846793005ULL + 1442695040888963407ULL;
-      if ((h >> 33) % 1024 < threshold) {
-        tags[w] = kInvalidTag;
-        stamps[w] = 0;
-      }
+      const std::uint64_t evict =
+          0 - std::uint64_t{(h >> 33) % 1024 < threshold};
+      tags[w] |= evict;  // kInvalidTag is all ones
+      stamps[w] &= ~evict;
     }
   }
 }
