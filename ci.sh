@@ -39,6 +39,10 @@
 #      1-thread and 4-thread verdict streams byte-identical, per-run
 #      counters JSON-identical, and batched scoring at least as fast as
 #      unbatched.
+#   8b. Benchmark leg (1g, Release): the repository benchmark's harness
+#      (perfbench/) builds into .bench_build, its arithmetic tests pass,
+#      and one short fleet_drift run must report correct: true with zero
+#      failed operations — the setup-repeat and verdict-hash checks.
 #   9. Drift leg (6): bench/drift --quick runs the drift-aware refresh
 #      pipeline under ASan/UBSan (harvest, background retrain, hot-swap)
 #      with the detection/recovery assertions checked from the JSON; the
@@ -196,6 +200,25 @@ if command -v clang++ >/dev/null 2>&1; then
 else
   echo "clang++ not installed; skipping thread-safety leg"
 fi
+
+echo "=== [1g] perfbench: harness tests + a short fleet_drift run ==="
+# The benchmark checks its own outputs (setup repeats agree, verdict hashes
+# agree across passes); a run that fails them reports correct: false.
+cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release
+cmake --build .bench_build --target perfbench perfbench_tests -j "${JOBS}"
+./.bench_build/perfbench_tests
+python3 perfbench/run.py --workload fleet_drift --seed 1 --seconds 1 \
+  --trace 0 > .bench_build/ci-fleet-drift.txt
+python3 - <<'EOF'
+import json
+with open(".bench_build/ci-fleet-drift.txt") as f:
+    last = f.read().strip().splitlines()[-1]
+result = json.loads(last)
+assert result["correct"] is True, result
+assert result["failed"] == 0, result
+print(f"perfbench OK: fleet_drift correct, {result['attempted']} operations, "
+      f"0 failed")
+EOF
 
 echo "=== [2/4] Debug + HMD_SANITIZE=address;undefined ==="
 cmake -B build-ci-asan -S . \

@@ -1,11 +1,10 @@
 // Golden capture hashes: pins simulator output bit for bit.
 //
-// Each case captures all 44 events of a small multi-run corpus (six apps,
-// benign and malware) and folds every row value
-// into one FNV-1a hash. The expected values were recorded before the cache
-// model's set layout was rewritten, so any change to a count — from the
-// caches, TLBs, BTB, predictors, protocols or fault layer — shows up here.
-// A deliberate model change must re-record them and say so.
+// Each case captures all 44 events of a small corpus (six apps, benign and
+// malware) and folds every row value into one FNV-1a hash. Any change to a
+// count — from the caches, TLBs, BTB, predictors, protocols or fault
+// layer — shows up here. A deliberate model change must re-record the
+// hashes (the failure message prints the new value) and say so.
 #include <gtest/gtest.h>
 
 #include <bit>
