@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <ostream>
 #include <set>
 
 #include "hpc/pmu.h"
@@ -108,7 +109,15 @@ INSTANTIATE_TEST_SUITE_P(
 // ----------------------------------------------------- AUC property sweep --
 
 // AUC must be invariant under any strictly monotone transform of scores.
-using Transform = double (*)(double);
+// The parameter carries a name so test names do not depend on where the
+// function happens to be loaded (a bare function pointer prints as its
+// address, which changes from run to run under ASLR).
+struct Transform {
+  const char* name;
+  double (*fn)(double);
+};
+
+void PrintTo(const Transform& t, std::ostream* os) { *os << t.name; }
 
 class AucInvariance : public testing::TestWithParam<Transform> {};
 
@@ -122,7 +131,7 @@ TEST_P(AucInvariance, MonotoneTransformPreservesAuc) {
   }
   const double base = ml::auc(scores, labels);
   std::vector<double> transformed;
-  for (double s : scores) transformed.push_back(GetParam()(s));
+  for (double s : scores) transformed.push_back(GetParam().fn(s));
   EXPECT_NEAR(ml::auc(transformed, labels), base, 1e-12);
 }
 
@@ -132,8 +141,10 @@ double t_exp(double s) { return std::exp(s); }
 double t_atan(double s) { return std::atan(s); }
 
 INSTANTIATE_TEST_SUITE_P(Transforms, AucInvariance,
-                         testing::Values(&t_affine, &t_cube, &t_exp,
-                                         &t_atan));
+                         testing::Values(Transform{"affine", &t_affine},
+                                         Transform{"cube", &t_cube},
+                                         Transform{"exp", &t_exp},
+                                         Transform{"atan", &t_atan}));
 
 // --------------------------------------------- PMU width scheduling sweep --
 
