@@ -44,6 +44,7 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <vector>
 
 #include "core/online.h"
@@ -174,6 +175,9 @@ struct ServeReport {
   ServeTiming timing;
   /// Sorted by (tick, host); empty unless ServeConfig::record_verdicts.
   std::vector<ServeVerdict> verdicts;
+  /// The model the drift retrain produced, whether or not its swap tick
+  /// fell inside the run; null when no retrain ran.
+  std::shared_ptr<const ml::Classifier> refit_model;
 };
 
 /// Drive the fleet through the serving pipeline. The FleetSetup is shared
