@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstddef>
+#include <cstdint>
 #include <limits>
 #include <set>
 
@@ -28,6 +30,19 @@ Coverage coverage(const JRip::Rule& rule, const Dataset& data,
     (data.label(r) == target ? cov.p : cov.n) += data.weight(r);
   }
   return cov;
+}
+
+/// A fresh 2/3 grow | 1/3 prune split of `rows`, shuffled in place.
+struct GrowPrune {
+  std::vector<std::size_t> grow;
+  std::vector<std::size_t> prune;
+};
+
+GrowPrune split_grow_prune(std::vector<std::size_t> rows, Rng& rng) {
+  for (std::size_t i = rows.size(); i > 1; --i)
+    std::swap(rows[i - 1], rows[rng.below(i)]);
+  const auto cut = static_cast<std::ptrdiff_t>(rows.size() * 2 / 3);
+  return {{rows.begin(), rows.begin() + cut}, {rows.begin() + cut, rows.end()}};
 }
 
 }  // namespace
@@ -84,15 +99,14 @@ JRip::Rule JRip::grow_rule(const Dataset& data,
     if (best_gain <= 1e-9) break;
 
     rule.conditions.push_back(best);
-    std::vector<std::size_t> still;
-    still.reserve(covered.size());
     const double* best_col = data.raw_column(best.feature).data();
     const std::uint32_t* map = data.row_map().data();
+    std::size_t kept = 0;
     for (std::size_t r : covered) {
       const double v = best_col[map[r]];
-      if (best.leq ? v <= best.value : v >= best.value) still.push_back(r);
+      if (best.leq ? v <= best.value : v >= best.value) covered[kept++] = r;
     }
-    covered = std::move(still);
+    covered.resize(kept);
     presort.filter_lists(&lists, best.feature, best.leq, best.value);
     if (covered.empty()) break;
   }
@@ -165,23 +179,16 @@ void JRip::train(const Dataset& data) {
       if (data.label(r) == target_) rem_p += data.weight(r);
     if (rem_p < min_rule_weight_) break;
 
-    // Fresh stratified 2/3 grow | 1/3 prune split of the remaining rows.
-    std::vector<std::size_t> shuffled = remaining;
-    for (std::size_t i = shuffled.size(); i > 1; --i)
-      std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
-    const std::size_t cut = shuffled.size() * 2 / 3;
-    std::vector<std::size_t> grow_rows(shuffled.begin(),
-                                       shuffled.begin() + cut);
-    std::vector<std::size_t> prune_rows(shuffled.begin() + cut,
-                                        shuffled.end());
-    if (grow_rows.empty()) break;
+    // Fresh 2/3 grow | 1/3 prune split of the remaining rows.
+    const GrowPrune split = split_grow_prune(remaining, rng);
+    if (split.grow.empty()) break;
 
-    Rule rule = grow_rule(data, grow_rows);
+    Rule rule = grow_rule(data, split.grow);
     if (rule.conditions.empty()) break;
-    prune_rule(rule, data, prune_rows);
+    prune_rule(rule, data, split.prune);
 
     // Stop when the rule is worse than random on the prune partition.
-    const Coverage pcov = coverage(rule, data, prune_rows, target_);
+    const Coverage pcov = coverage(rule, data, split.prune, target_);
     if (pcov.p + pcov.n > 0.0 && pcov.p < pcov.n) break;
 
     // MDL stop: a rule set whose DL drifts 64 bits past the best is done.
@@ -203,59 +210,71 @@ void JRip::train(const Dataset& data) {
   }
 
   // Optimisation passes: try a freshly grown replacement for each rule and
-  // keep whichever rule set has the lower training error.
-  std::vector<std::size_t> all_rows(data.num_rows());
-  for (std::size_t i = 0; i < all_rows.size(); ++i) all_rows[i] = i;
-  auto ruleset_errors = [&](const std::vector<Rule>& rules) {
+  // keep whichever rule set has the lower training error. Each pass is
+  // O(R·n): `matching[i]` counts the rules matching row i, so swapping rule k
+  // for a replacement changes a row's verdict only through the two rules'
+  // own matches; `earlier[i]` marks rows captured by rules 0..k-1, which
+  // leave rule k's scope. Both errors are summed over every row in index
+  // order, so they are bit-identical to rescanning the whole rule set.
+  const std::size_t n = data.num_rows();
+  std::vector<std::uint32_t> matching(n);
+  std::vector<std::uint8_t> earlier(n), in_k(n), in_replacement(n);
+  auto matches_of = [&](const Rule& rule, std::vector<std::uint8_t>& out) {
+    for (std::size_t i = 0; i < n; ++i) out[i] = rule.matches(data.row(i));
+  };
+  auto errors_if = [&](auto&& fires) {
     double errors = 0.0;
-    for (std::size_t i = 0; i < data.num_rows(); ++i) {
-      bool fired = false;
-      for (const Rule& r : rules)
-        if (r.matches(data.row(i))) {
-          fired = true;
-          break;
-        }
-      const int pred = fired ? target_ : 1 - target_;
+    for (std::size_t i = 0; i < n; ++i) {
+      const int pred = fires(i) ? target_ : 1 - target_;
       if (pred != data.label(i)) errors += data.weight(i);
     }
     return errors;
   };
   for (std::size_t pass = 0; pass < optimize_passes_ && !rules_.empty();
        ++pass) {
+    std::fill(matching.begin(), matching.end(), 0u);
+    for (const Rule& rule : rules_) {
+      matches_of(rule, in_k);
+      for (std::size_t i = 0; i < n; ++i) matching[i] += in_k[i];
+    }
+    std::fill(earlier.begin(), earlier.end(), std::uint8_t{0});
     for (std::size_t k = 0; k < rules_.size(); ++k) {
+      // in_k still holds the matches of whichever rule stayed in slot k-1.
+      if (k > 0)
+        for (std::size_t i = 0; i < n; ++i) earlier[i] |= in_k[i];
+      matches_of(rules_[k], in_k);
+
       // Rows not captured by earlier rules are this rule's jurisdiction.
       std::vector<std::size_t> scope;
-      for (std::size_t i = 0; i < data.num_rows(); ++i) {
-        bool earlier = false;
-        for (std::size_t j = 0; j < k; ++j)
-          if (rules_[j].matches(data.row(i))) {
-            earlier = true;
-            break;
-          }
-        if (!earlier) scope.push_back(i);
-      }
+      scope.reserve(static_cast<std::size_t>(
+          std::count(earlier.begin(), earlier.end(), std::uint8_t{0})));
+      for (std::size_t i = 0; i < n; ++i)
+        if (!earlier[i]) scope.push_back(i);
       if (scope.empty()) continue;
 
-      std::vector<std::size_t> shuffled = scope;
-      for (std::size_t i = shuffled.size(); i > 1; --i)
-        std::swap(shuffled[i - 1], shuffled[rng.below(i)]);
-      const std::size_t cut = shuffled.size() * 2 / 3;
-      std::vector<std::size_t> grow_rows(shuffled.begin(),
-                                         shuffled.begin() + cut);
-      std::vector<std::size_t> prune_rows(shuffled.begin() + cut,
-                                          shuffled.end());
-      if (grow_rows.empty()) continue;
-      Rule replacement = grow_rule(data, grow_rows);
-      prune_rule(replacement, data, prune_rows);
+      const GrowPrune split = split_grow_prune(std::move(scope), rng);
+      if (split.grow.empty()) continue;
+      Rule replacement = grow_rule(data, split.grow);
+      prune_rule(replacement, data, split.prune);
       if (replacement.conditions.empty()) continue;
-      const Coverage cov = coverage(replacement, data, scope, target_);
+      // Precision over the scope, summed in row order.
+      matches_of(replacement, in_replacement);
+      Coverage cov;
+      for (std::size_t i = 0; i < n; ++i)
+        if (!earlier[i] && in_replacement[i])
+          (data.label(i) == target_ ? cov.p : cov.n) += data.weight(i);
       replacement.precision = (cov.p + 1.0) / (cov.p + cov.n + 2.0);
 
-      const double err_before = ruleset_errors(rules_);
-      const Rule original = rules_[k];
-      rules_[k] = replacement;
-      const double err_after = ruleset_errors(rules_);
-      if (err_after >= err_before) rules_[k] = original;
+      const double err_before =
+          errors_if([&](std::size_t i) { return matching[i] > 0; });
+      const double err_after = errors_if([&](std::size_t i) {
+        return matching[i] - in_k[i] + in_replacement[i] > 0;
+      });
+      if (err_after >= err_before) continue;
+      rules_[k] = std::move(replacement);
+      for (std::size_t i = 0; i < n; ++i)
+        matching[i] = matching[i] - in_k[i] + in_replacement[i];
+      in_k.swap(in_replacement);
     }
   }
 
