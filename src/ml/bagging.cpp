@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "support/check.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 
 namespace hmd::ml {
@@ -18,13 +19,22 @@ Bagging::Bagging(std::unique_ptr<Classifier> prototype, std::size_t bags,
 void Bagging::train(const Dataset& data) {
   HMD_REQUIRE(data.num_rows() > 0);
   members_.clear();
-  Rng rng(seed_);
-  for (std::size_t b = 0; b < bags_; ++b) {
+  const Rng rng(seed_);
+  // Member b depends only on (seed, b), so members may train in any order
+  // or at once: inside a pool they run as a nested job on it, elsewhere
+  // one after another.
+  auto train_member = [&](std::size_t b) {
     Rng bag_rng = rng.fork(b);
     const Dataset sample = data.bootstrap(bag_rng);
-    auto model = prototype_->clone_untrained();
+    std::unique_ptr<Classifier> model = prototype_->clone_untrained();
     model->train(sample);
-    members_.push_back(std::move(model));
+    return model;
+  };
+  if (support::ThreadPool* pool = support::ThreadPool::current()) {
+    members_ = pool->parallel_map(bags_, train_member);
+  } else {
+    for (std::size_t b = 0; b < bags_; ++b)
+      members_.push_back(train_member(b));
   }
   trained_ = true;
 }

@@ -6,6 +6,11 @@
 // replacement); prediction averages the members' class probabilities.
 // Bagging suits the low-bias/high-variance base learners (trees, rules)
 // the paper highlights.
+//
+// Member b trains on the bootstrap drawn from Rng(seed).fork(b) alone, so
+// train() called from a pool worker (support::ThreadPool::current()) fits
+// the members as a nested job on that pool; called from anywhere else it
+// fits them one after another. Either way the model is bit-identical.
 #pragma once
 
 #include <memory>

@@ -15,8 +15,10 @@ std::shared_ptr<Classifier> refit_with_windows(const Dataset& base,
   HMD_REQUIRE(cfg.window_weight > 0.0);
 
   // Copy-on-write augmentation: `augmented` shares the base storage until
-  // the first add_row, so the caller's split survives untouched.
+  // reserve() copies it, so the caller's split survives untouched. The
+  // reservation sizes the copy once instead of growing it row by row.
   Dataset augmented = base;
+  augmented.reserve(labels.size());
   for (std::size_t i = 0; i < labels.size(); ++i) {
     const std::span<const double> row = rows.subspan(i * num_features,
                                                      num_features);

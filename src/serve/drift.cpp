@@ -6,6 +6,7 @@
 #include "core/experiment.h"
 #include "ml/refit.h"
 #include "support/check.h"
+#include "support/parallel.h"
 
 namespace hmd::serve {
 
@@ -136,8 +137,14 @@ RetrainOutcome retrain_model(const FleetSetup& fleet,
   RetrainOutcome out;
   out.base_rows = base.num_rows();
   out.window_rows = window_labels.size();
-  out.model = ml::refit_with_windows(base, window_rows, fleet.num_features,
-                                     window_labels, refit);
+  // The refit is a one-unit job on a pool of its own, so a bagged
+  // detector's members fan out across the pool (ml/bagging.h). The pool
+  // starts only after the re-capture above: inside it, the capture's own
+  // pool would run inline.
+  support::ThreadPool(fleet.cfg.threads).parallel_for(1, [&](std::size_t) {
+    out.model = ml::refit_with_windows(base, window_rows, fleet.num_features,
+                                       window_labels, refit);
+  });
   return out;
 }
 

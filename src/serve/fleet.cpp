@@ -8,6 +8,7 @@
 #include "hpc/capture.h"
 #include "sim/workloads.h"
 #include "support/check.h"
+#include "support/parallel.h"
 #include "support/rng.h"
 
 namespace hmd::serve {
@@ -89,7 +90,10 @@ FleetSetup make_fleet(const FleetConfig& cfg) {
   std::shared_ptr<ml::Classifier> model =
       ml::make_detector(fleet.model_kind, fleet.model_ensemble,
                         fleet.model_seed);
-  model->train(fleet.base_train);
+  // Trained as a one-unit pool job so a bagged detector's members fan out
+  // (ml/bagging.h), exactly as the drift retrain does (serve/drift.cpp).
+  support::ThreadPool(cfg.threads).parallel_for(
+      1, [&](std::size_t) { model->train(fleet.base_train); });
   fleet.model = std::move(model);
   fleet.backend = ml::make_active_backend(*fleet.model);
 

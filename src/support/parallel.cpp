@@ -1,5 +1,6 @@
 #include "support/parallel.h"
 
+#include <algorithm>
 #include <cstdlib>
 #include <cstring>
 
@@ -8,10 +9,10 @@
 namespace hmd::support {
 namespace {
 
-/// Set while the current thread is executing a unit on behalf of any pool,
-/// so nested parallel_for calls degrade to inline execution instead of
-/// deadlocking on their own pool or over-subscribing another.
-thread_local bool tls_in_pool_worker = false;
+/// The pool a worker thread belongs to, for its whole life; null on every
+/// other thread. parallel_for reads it to tell a nested call on the same
+/// pool from a call into another pool.
+thread_local ThreadPool* tls_pool = nullptr;
 
 }  // namespace
 
@@ -37,7 +38,10 @@ ThreadPool::ThreadPool(std::size_t threads)
   if (size_ == 1) return;  // inline mode: no workers, no synchronisation
   workers_.reserve(size_);
   for (std::size_t t = 0; t < size_; ++t)
-    workers_.emplace_back([this] { worker_loop(); });
+    workers_.emplace_back([this] {
+      tls_pool = this;
+      worker_loop();
+    });
 }
 
 ThreadPool::~ThreadPool() {
@@ -49,6 +53,8 @@ ThreadPool::~ThreadPool() {
   for (auto& worker : workers_) worker.join();
 }
 
+ThreadPool* ThreadPool::current() { return tls_pool; }
+
 void ThreadPool::run_serial(std::size_t n,
                             const std::function<void(std::size_t)>& fn) {
   for (std::size_t i = 0; i < n; ++i) fn(i);
@@ -57,68 +63,66 @@ void ThreadPool::run_serial(std::size_t n,
 void ThreadPool::parallel_for(std::size_t n,
                               const std::function<void(std::size_t)>& fn) {
   if (n == 0) return;
-  if (workers_.empty() || tls_in_pool_worker) {
+  const bool nested = tls_pool == this;
+  if (workers_.empty() || (tls_pool != nullptr && !nested)) {
     run_serial(n, fn);
     return;
   }
 
+  Job job;
+  job.fn = &fn;
+  job.n = n;
+  job.error_index = n;
   std::exception_ptr error;
   {
     MutexLock lock(mutex_);
-    HMD_REQUIRE_MSG(job_ == nullptr,
-                    "ThreadPool supports one parallel_for at a time");
-    job_ = &fn;
-    job_n_ = n;
-    next_ = 0;
-    error_ = nullptr;
-    error_index_ = n;
+    open_.push_back(&job);
     work_cv_.notify_all();
+    // A worker of this pool must not sleep on its own job: it runs units
+    // until none is left to claim. It then waits only for units that
+    // other workers are running, which never wait on it in turn.
+    if (nested)
+      while (job.next < job.n) run_unit(job);
     // condition_variable_any waits on the annotated mutex directly; the
     // capability is held again whenever the predicate is evaluated.
-    while (!(next_ >= job_n_ && active_ == 0)) done_cv_.wait(mutex_);
-    job_ = nullptr;
-    error = error_;
-    error_ = nullptr;
+    while (!(job.next >= job.n && job.active == 0)) done_cv_.wait(mutex_);
+    error = job.error;
   }
   // Rethrown outside the lock so a handler touching the pool cannot
   // deadlock against it.
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-void ThreadPool::worker_loop() {
-  mutex_.lock();
-  for (;;) {
-    while (!stop_ && (job_ == nullptr || next_ >= job_n_))
-      work_cv_.wait(mutex_);
-    if (stop_) break;
-    while (job_ != nullptr && next_ < job_n_) {
-      // Copy the job pointer while the lock is held: parallel_for cannot
-      // retire the job until active_ drops back to zero, so the copy stays
-      // valid for the unlocked call below.
-      const std::function<void(std::size_t)>* job = job_;
-      const std::size_t index = next_++;
-      ++active_;
-      mutex_.unlock();
-      tls_in_pool_worker = true;
-      std::exception_ptr thrown;
-      try {
-        (*job)(index);
-      } catch (...) {
-        thrown = std::current_exception();
-      }
-      tls_in_pool_worker = false;
-      mutex_.lock();
-      if (thrown != nullptr && index < error_index_) {
-        // Every unit still runs; reporting the lowest-index failure keeps
-        // the observable error independent of scheduling.
-        error_ = thrown;
-        error_index_ = index;
-      }
-      --active_;
-      if (next_ >= job_n_ && active_ == 0) done_cv_.notify_all();
-    }
-  }
+void ThreadPool::run_unit(Job& job) {
+  const std::size_t index = job.next++;
+  if (job.next == job.n)  // fully claimed: no longer open
+    open_.erase(std::find(open_.begin(), open_.end(), &job));
+  ++job.active;
   mutex_.unlock();
+  std::exception_ptr thrown;
+  try {
+    (*job.fn)(index);
+  } catch (...) {
+    thrown = std::current_exception();
+  }
+  mutex_.lock();
+  if (thrown != nullptr && index < job.error_index) {
+    // Every unit still runs; reporting the lowest-index failure keeps the
+    // observable error independent of scheduling.
+    job.error = thrown;
+    job.error_index = index;
+  }
+  --job.active;
+  if (job.next >= job.n && job.active == 0) done_cv_.notify_all();
+}
+
+void ThreadPool::worker_loop() {
+  MutexLock lock(mutex_);
+  for (;;) {
+    while (!stop_ && open_.empty()) work_cv_.wait(mutex_);
+    if (stop_) return;
+    run_unit(*open_.back());
+  }
 }
 
 }  // namespace hmd::support

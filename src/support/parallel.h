@@ -21,8 +21,16 @@
 // Thread count: an explicit request wins; 0 means "auto" — the HMD_THREADS
 // environment variable if set, else std::thread::hardware_concurrency().
 // A pool of size 1 spawns no threads at all and runs everything inline,
-// which is both the degenerate-correctness baseline and the fallback used
-// for nested parallel_for calls from inside a worker.
+// which is the degenerate-correctness baseline.
+//
+// Nesting: a parallel_for called from a worker of the *same* pool opens a
+// nested job on it. The calling worker runs units of that job itself and
+// idle workers join in, so work nested in a unit (the members of a bagged
+// ensemble inside one grid cell) spreads across the pool. A call into a
+// *different* pool from inside a worker runs inline, so pools never
+// over-subscribe one another. ThreadPool::current() names the pool whose
+// worker is running the calling thread, for code that wants to fan out
+// only when it is already inside one.
 #pragma once
 
 #include <condition_variable>
@@ -166,9 +174,13 @@ class ThreadPool {
 
   std::size_t size() const { return size_; }
 
-  /// Invoke fn(i) for every i in [0, n); blocks until all complete.
-  /// One parallel_for may be in flight per pool at a time; a call made
-  /// from inside a worker of any pool runs inline (no nested fan-out).
+  /// The pool whose worker thread is calling, or null outside any pool.
+  static ThreadPool* current();
+
+  /// Invoke fn(i) for every i in [0, n); blocks until all complete. Any
+  /// number of threads may call at once. From a worker of this pool the
+  /// call is a nested job that the caller helps run; from a worker of
+  /// another pool it runs inline.
   void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   /// parallel_for that collects fn(i) into slot i of the result vector —
@@ -186,31 +198,36 @@ class ThreadPool {
   }
 
  private:
+  /// One parallel_for call. It lives on the caller's stack; every field
+  /// is read and written only under the owning pool's mutex_. The caller
+  /// cannot return before `next == n && active == 0`, so a worker may keep
+  /// a reference across the unlocked run of a unit it claimed.
+  struct Job {
+    const std::function<void(std::size_t)>* fn = nullptr;
+    std::size_t n = 0;
+    std::size_t next = 0;    ///< next unclaimed index
+    std::size_t active = 0;  ///< units claimed and still running
+    std::exception_ptr error;
+    std::size_t error_index = 0;  ///< lowest index that threw so far
+  };
+
   void worker_loop();
   void run_serial(std::size_t n, const std::function<void(std::size_t)>& fn);
+  /// Claim the next unit of `job` and run it with the lock released.
+  void run_unit(Job& job) HMD_REQUIRES(mutex_);
 
   std::size_t size_ = 1;
   std::vector<std::thread> workers_;
 
-  /// Every field of the job state below is guarded by mutex_ (checked by
-  /// clang -Wthread-safety; see support/thread_safety.h). Workers execute a
-  /// claimed unit with the lock *released*, through a pointer copied while
-  /// it was held — parallel_for cannot retire the job before active_ drops
-  /// to zero, so the copy outlives the call.
+  /// Pool state, guarded by mutex_ (checked by clang -Wthread-safety; see
+  /// support/thread_safety.h).
   Mutex mutex_;
   std::condition_variable_any work_cv_;  ///< workers wait for a job
-  std::condition_variable_any done_cv_;  ///< the caller waits for completion
-  const std::function<void(std::size_t)>* job_ HMD_GUARDED_BY(mutex_) =
-      nullptr;
-  std::size_t job_n_ HMD_GUARDED_BY(mutex_) = 0;
-  /// next unclaimed index of the current job
-  std::size_t next_ HMD_GUARDED_BY(mutex_) = 0;
-  /// workers currently executing a unit
-  std::size_t active_ HMD_GUARDED_BY(mutex_) = 0;
+  std::condition_variable_any done_cv_;  ///< callers wait for their job
+  /// Jobs with unclaimed units, oldest first. Workers serve the newest,
+  /// so a nested job runs before the outer job hands out another unit.
+  std::vector<Job*> open_ HMD_GUARDED_BY(mutex_);
   bool stop_ HMD_GUARDED_BY(mutex_) = false;
-  std::exception_ptr error_ HMD_GUARDED_BY(mutex_);
-  /// lowest index that threw so far
-  std::size_t error_index_ HMD_GUARDED_BY(mutex_) = 0;
 };
 
 }  // namespace hmd::support
