@@ -45,7 +45,9 @@
 #      failed operations — the setup-repeat and verdict-hash checks.
 #   9. Drift leg (6): bench/drift --quick runs the drift-aware refresh
 #      pipeline under ASan/UBSan (harvest, background retrain, hot-swap)
-#      with the detection/recovery assertions checked from the JSON; the
+#      with the detection/recovery assertions checked from the JSON, and
+#      again under TSan (the retrain fans bag members out on its own pool
+#      while serving reads); the
 #      Release tree then proves the hot-swap determinism contract (1- and
 #      4-thread adaptive verdict streams byte-identical) and that a
 #      checkpointed retrain killed mid-capture resumes to a byte-identical
@@ -389,6 +391,11 @@ else
   grep -q '"swapped": true' build-ci-asan/BENCH_drift.json
   echo "BENCH_drift.json OK (grep fallback)"
 fi
+# The same run under TSan: the retrain is a nested pool job whose bag
+# members train on several threads while the serving workers score.
+TSAN_OPTIONS="halt_on_error=1" \
+  ./build-ci-tsan/bench/drift --quick --threads 4 \
+    --out build-ci-tsan/BENCH_drift.json
 # Hot-swap determinism contract (Release tree): the adaptive verdict
 # stream — including every verdict scored by the refreshed model after the
 # swap — must be byte-identical at 1 and 4 worker threads.

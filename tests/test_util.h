@@ -3,6 +3,9 @@
 // golden numbers.
 #pragma once
 
+#include <bit>
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "ml/dataset.h"
@@ -53,6 +56,19 @@ inline ml::Dataset xor_data(std::size_t n_per_quadrant, double spread,
     }
   }
   return data;
+}
+
+/// FNV-1a 64 over the bits of `values`, in order: the golden-value hash.
+inline std::uint64_t fnv1a_bits(std::span<const double> values) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (const double v : values) {
+    const auto bits = std::bit_cast<std::uint64_t>(v);
+    for (int b = 0; b < 64; b += 8) {
+      h ^= (bits >> b) & 0xFF;
+      h *= 0x100000001b3ULL;
+    }
+  }
+  return h;
 }
 
 /// Fraction of rows of `data` classified correctly by `clf`.
