@@ -3,6 +3,8 @@
 // path (HMD_LEGACY_DATASET=1), including across worker-thread counts.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <vector>
 
 #include "core/hmd.h"
@@ -240,6 +242,52 @@ TEST(ModePairity, GridResultsInvariantToModeAndThreads) {
   }
   for (std::size_t i = 1; i < outcomes.size(); ++i)
     EXPECT_EQ(outcomes[0], outcomes[i]) << "combination " << i;
+}
+
+/// Test-split score hashes of all 24 detectors trained on tied_weighted(8)
+/// and scored on tied_weighted(9): exact ties and non-unit weights, the
+/// regime where a change of sweep order would show. Order: classifier-major
+/// over all_classifier_kinds(), then all_ensemble_kinds().
+constexpr std::uint64_t kTiedDataHashes[24] = {
+    // BayesNet: General, Boosted, Bagging
+    0xe6f59bb18021f80fULL, 0xb87e4689eb2fb16bULL, 0x483917c934785c47ULL,
+    // J48: General, Boosted, Bagging
+    0x4debbfda8d341c80ULL, 0xb5da5935b4dd69a9ULL, 0x76723a918a84b58cULL,
+    // JRip: General, Boosted, Bagging
+    0xacb08b4d369916b9ULL, 0xdb2400afb64957a6ULL, 0x8eea15c9165d9c86ULL,
+    // MLP: General, Boosted, Bagging
+    0x06b50ad160575e37ULL, 0x7d4437d44d420b33ULL, 0x20f732b9a935582cULL,
+    // OneR: General, Boosted, Bagging
+    0xe94d56395801ba8eULL, 0x8c01571bb017c8beULL, 0x65da963580cc978fULL,
+    // REPTree: General, Boosted, Bagging
+    0x5b8bcdff8e51a95dULL, 0x79e5aa0ac9241b65ULL, 0xb7a7c41dcc1c95c9ULL,
+    // SGD: General, Boosted, Bagging
+    0xb24e743b1e90c005ULL, 0x70ae22249d72cb9dULL, 0x90f0acfadc04a525ULL,
+    // SMO: General, Boosted, Bagging
+    0xb24e743b1e90c005ULL, 0xd84e16a27ae8ca45ULL, 0xc70b54ab2198f29bULL,
+};
+
+TEST(GoldenTiedData, AllDetectorsMatchRecordedScoreHashes) {
+  const Dataset train = tied_weighted(8);
+  const Dataset test = tied_weighted(9);
+  std::size_t i = 0;
+  for (ClassifierKind kind : all_classifier_kinds()) {
+    for (EnsembleKind ensemble : all_ensemble_kinds()) {
+      ASSERT_LT(i, std::size(kTiedDataHashes));
+      auto detector = make_detector(kind, ensemble, 42);
+      detector->train(train);
+      std::vector<double> scores;
+      for (std::size_t r = 0; r < test.num_rows(); ++r)
+        scores.push_back(detector->predict_proba(test.row(r)));
+      const std::uint64_t hash = testutil::fnv1a_bits(scores);
+      EXPECT_EQ(hash, kTiedDataHashes[i])
+          << classifier_kind_name(kind) << " / "
+          << ensemble_kind_name(ensemble) << ": 0x" << std::hex << hash
+          << "ULL";
+      ++i;
+    }
+  }
+  EXPECT_EQ(i, std::size(kTiedDataHashes));
 }
 
 }  // namespace
