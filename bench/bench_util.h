@@ -33,17 +33,22 @@
 // and exits 2 — flags are never silently ignored or clamped.
 #pragma once
 
+#include <bit>
 #include <cerrno>
 #include <chrono>
 #include <cctype>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "core/hmd.h"
 #include "hpc/faults.h"
+#include "serve/controller.h"
 #include "support/parallel.h"
 #include "support/table.h"
 
@@ -103,6 +108,31 @@ inline std::uint64_t parse_u64_flag(const char* flag, const char* text) {
     std::exit(2);
   }
   return value;
+}
+
+/// Strict parse for real-valued flags (budgets, rates, tolerances): the
+/// whole string must be a finite number >= 0. strtod alone turns "abc"
+/// into 0, and 0 means "budget disabled" for most of them, so a typo would
+/// quietly switch a gate off — report and exit 2 instead.
+inline double parse_double_flag(const char* flag, const char* text) {
+  char* end = nullptr;
+  errno = 0;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0' || errno == ERANGE ||
+      !std::isfinite(value) || value < 0.0) {
+    std::fprintf(stderr, "invalid value '%s' for %s (want a finite number "
+                         ">= 0)\n",
+                 text, flag);
+    std::exit(2);
+  }
+  return value;
+}
+
+/// Steady-clock milliseconds, for wall-clock deltas in the benches.
+inline double now_ms() {
+  return std::chrono::duration<double, std::milli>(
+             std::chrono::steady_clock::now().time_since_epoch())
+      .count();
 }
 
 inline core::ExperimentConfig config_from_args(int argc, char** argv) {
@@ -197,18 +227,15 @@ inline core::ExperimentContext prepare(const core::ExperimentConfig& cfg,
                  cfg.capture.checkpoint_dir.c_str(),
                  cfg.capture.resume ? "resuming" : "fresh");
   }
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = now_ms();
   auto ctx = core::prepare_experiment(cfg);
-  const auto ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                      std::chrono::steady_clock::now() - t0)
-                      .count();
+  const auto ms = static_cast<long long>(now_ms() - t0);
   std::fprintf(stderr,
                "[%s] capture done: %zu samples (%zu train / %zu test), %llu "
                "container runs, %lld ms\n",
                what, ctx.full.num_rows(), ctx.split.train.num_rows(),
                ctx.split.test.num_rows(),
-               static_cast<unsigned long long>(ctx.capture.total_runs),
-               static_cast<long long>(ms));
+               static_cast<unsigned long long>(ctx.capture.total_runs), ms);
   const hpc::CaptureResumeStats& rs = ctx.resume_stats;
   if (rs.checkpointing) {
     std::fprintf(stderr,
@@ -270,6 +297,27 @@ inline ServeArgs serve_args(int argc, char** argv) {
       args.out = flag_value("--out", argc, argv, i);
   }
   return args;
+}
+
+/// Write a verdict stream as text, one verdict per line with the score and
+/// EWMA as raw bits: the byte-diffable determinism witness of the serving
+/// benches. `what` prefixes the error message; a write failure exits 1.
+inline void dump_verdicts(const std::vector<serve::ServeVerdict>& vs,
+                          const char* path, const char* what) {
+  std::FILE* f = std::fopen(path, "w");
+  if (f == nullptr) {
+    std::fprintf(stderr, "[%s] cannot write %s\n", what, path);
+    std::exit(1);
+  }
+  for (const serve::ServeVerdict& v : vs)
+    std::fprintf(f, "%u %u %u %016llx %016llx %u %u\n", v.tick, v.host,
+                 static_cast<unsigned>(v.outcome),
+                 static_cast<unsigned long long>(
+                     std::bit_cast<std::uint64_t>(v.score)),
+                 static_cast<unsigned long long>(
+                     std::bit_cast<std::uint64_t>(v.ewma)),
+                 v.alarm ? 1U : 0U, v.stale ? 1U : 0U);
+  std::fclose(f);
 }
 
 /// Machine-readable performance record of one grid-bench run, for tracking

@@ -35,8 +35,6 @@
 //                       checkpoint store (kill-and-resume safe; the ci.sh
 //                       drift leg kills a retrain mid-capture and diffs)
 #include <algorithm>
-#include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -47,37 +45,8 @@
 #include "serve/controller.h"
 #include "serve/fleet.h"
 
-namespace {
-
-using namespace hmd;
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
-void dump_verdicts(const std::vector<serve::ServeVerdict>& vs,
-                   const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[drift] cannot write %s\n", path);
-    std::exit(1);
-  }
-  for (const serve::ServeVerdict& v : vs)
-    std::fprintf(f, "%u %u %u %016llx %016llx %u %u\n", v.tick, v.host,
-                 static_cast<unsigned>(v.outcome),
-                 static_cast<unsigned long long>(
-                     std::bit_cast<std::uint64_t>(v.score)),
-                 static_cast<unsigned long long>(
-                     std::bit_cast<std::uint64_t>(v.ewma)),
-                 v.alarm ? 1U : 0U, v.stale ? 1U : 0U);
-  std::fclose(f);
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
+  using namespace hmd;
   const core::ExperimentConfig exp = benchutil::config_from_args(argc, argv);
   const benchutil::ServeArgs args = benchutil::serve_args(argc, argv);
   bool quick = false;
@@ -115,9 +84,9 @@ int main(int argc, char** argv) {
                fc.hosts, fc.ticks, onset, fc.drift.novel_templates,
                support::resolve_threads(exp.threads));
 
-  const double t0 = now_ms();
+  const double t0 = benchutil::now_ms();
   const serve::FleetSetup fleet = serve::make_fleet(fc);
-  const double setup_ms = now_ms() - t0;
+  const double setup_ms = benchutil::now_ms() - t0;
   std::fprintf(stderr,
                "[drift] setup done in %.0f ms: %zu static malware hosts, "
                "%zu campaign recruits of %zu hosts\n",
@@ -197,7 +166,7 @@ int main(int argc, char** argv) {
                run_adaptive.timing.barrier_ms);
 
   if (verdict_path != nullptr)
-    dump_verdicts(run_adaptive.verdicts, verdict_path);
+    benchutil::dump_verdicts(run_adaptive.verdicts, verdict_path, "drift");
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {

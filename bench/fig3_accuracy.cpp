@@ -7,7 +7,6 @@
 // 96 cells are evaluated concurrently via core::run_grid (results are
 // bit-identical for any --threads value) and the wall-clock numbers are
 // recorded in BENCH_grid.json.
-#include <chrono>
 #include <iostream>
 
 #include "bench_util.h"
@@ -20,13 +19,11 @@ int main(int argc, char** argv) {
   const auto ctx = benchutil::prepare(cfg, "fig3", &capture_ms);
 
   const auto cells = core::full_grid();
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = benchutil::now_ms();
   const auto results = core::run_grid(ctx, cells, cfg.threads);
-  const auto grid_ms = std::chrono::duration_cast<std::chrono::milliseconds>(
-                           std::chrono::steady_clock::now() - t0)
-                           .count();
+  const auto grid_ms = static_cast<long long>(benchutil::now_ms() - t0);
   std::fprintf(stderr, "[fig3] grid done: %zu cells, %lld ms\n",
-               results.size(), static_cast<long long>(grid_ms));
+               results.size(), grid_ms);
 
   TextTable table("Figure 3 — Detection accuracy (%) vs number of HPCs");
   table.set_header({"Classifier", "Variant", "16HPC", "8HPC", "4HPC",
@@ -44,8 +41,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  benchutil::write_grid_bench_json({"fig3_accuracy", capture_ms,
-                                    static_cast<long long>(grid_ms),
+  benchutil::write_grid_bench_json({"fig3_accuracy", capture_ms, grid_ms,
                                     support::resolve_threads(cfg.threads),
                                     results.size()});
 

@@ -30,7 +30,6 @@
 //              those rows of the grid. The aggregate speedup then covers
 //              only the tree/rule-ensemble cells actually present.
 #include <algorithm>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -56,12 +55,6 @@ struct Cell {
   bool score_match = true;  ///< element-wise bit-identity of the two runs
 };
 
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
-
 /// Best-of-`reps` per-sample latency of scoring the `rows`-row batch `x`
 /// (one full pass per rep) through `backend`; the scores stay in `scores`.
 double time_backend(const ml::InferenceBackend& backend,
@@ -71,9 +64,9 @@ double time_backend(const ml::InferenceBackend& backend,
   scores.assign(rows, 0.0);
   double best = 0.0;
   for (std::size_t rep = 0; rep < reps; ++rep) {
-    const double t0 = now_ms();
+    const double t0 = benchutil::now_ms();
     backend.predict_proba_batch(x, num_features, scores);
-    const double ms = now_ms() - t0;
+    const double ms = benchutil::now_ms() - t0;
     if (rep == 0 || ms < best) best = ms;
   }
   return rows > 0 ? 1000.0 * best / static_cast<double>(rows) : 0.0;
@@ -116,14 +109,16 @@ int main(int argc, char** argv) {
   bool quick = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--quick") == 0) quick = true;
-    if (std::strcmp(argv[i], "--reps") == 0 && i + 1 < argc)
-      reps = std::strtoull(argv[i + 1], nullptr, 10);
-    if (std::strcmp(argv[i], "--hpcs") == 0 && i + 1 < argc)
-      hpcs = std::strtoull(argv[i + 1], nullptr, 10);
-    if (std::strcmp(argv[i], "--out") == 0 && i + 1 < argc)
-      out_path = argv[i + 1];
-    if (std::strcmp(argv[i], "--only") == 0 && i + 1 < argc)
-      only = argv[i + 1];
+    if (std::strcmp(argv[i], "--reps") == 0)
+      reps = benchutil::parse_u64_flag(
+          "--reps", benchutil::flag_value("--reps", argc, argv, i));
+    if (std::strcmp(argv[i], "--hpcs") == 0)
+      hpcs = benchutil::parse_u64_flag(
+          "--hpcs", benchutil::flag_value("--hpcs", argc, argv, i));
+    if (std::strcmp(argv[i], "--out") == 0)
+      out_path = benchutil::flag_value("--out", argc, argv, i);
+    if (std::strcmp(argv[i], "--only") == 0)
+      only = benchutil::flag_value("--only", argc, argv, i);
   }
   const auto selected = [&only](ml::ClassifierKind kind) {
     if (only.empty()) return true;

@@ -28,8 +28,6 @@
 //   --out P          JSON output path      (default BENCH_serve.json)
 //   --verdicts P     dump the batched run's verdict stream as text (the
 //                    byte-diffable determinism witness; off by default)
-#include <bit>
-#include <chrono>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -43,12 +41,6 @@
 namespace {
 
 using namespace hmd;
-
-double now_ms() {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now().time_since_epoch())
-      .count();
-}
 
 /// Score-stage throughput: rows scored per second of *scoring* time. The
 /// cleanest A/B axis — it excludes the (identical) generation, queueing,
@@ -82,7 +74,6 @@ void print_run(std::FILE* f, const char* name, const serve::ServeReport& r,
       "\"shards\": %llu, \"offered\": %llu, \"emitted\": %llu, "
       "\"missing\": %llu, \"admitted\": %llu, \"shed\": %llu, "
       "\"batches\": %llu, \"scored_rows\": %llu, "
-      "\"straggler_batches\": %llu, \"hedges_launched\": %llu, "
       "\"alarms_raised\": %llu, \"alarmed_hosts\": %llu, "
       "\"malware_hosts\": %llu, \"verdict_hash\": \"%016llx\"},\n",
       static_cast<unsigned long long>(c.hosts),
@@ -95,8 +86,6 @@ void print_run(std::FILE* f, const char* name, const serve::ServeReport& r,
       static_cast<unsigned long long>(c.shed),
       static_cast<unsigned long long>(c.batches),
       static_cast<unsigned long long>(c.scored_rows),
-      static_cast<unsigned long long>(c.straggler_batches),
-      static_cast<unsigned long long>(c.hedges_launched),
       static_cast<unsigned long long>(c.alarms_raised),
       static_cast<unsigned long long>(c.alarmed_hosts),
       static_cast<unsigned long long>(c.malware_hosts),
@@ -107,11 +96,8 @@ void print_run(std::FILE* f, const char* name, const serve::ServeReport& r,
       "      \"wall_ms\": %.2f,\n"
       "      \"intervals_per_sec\": %.1f,\n"
       "      \"score_rows_per_sec\": %.1f,\n"
-      "      \"hedge_wins\": %llu, \"hedge_wasted\": %llu, "
-      "\"backpressure_stalls\": %llu,\n",
+      "      \"backpressure_stalls\": %llu,\n",
       t.wall_ms, t.intervals_per_sec, score_rows_per_sec(r),
-      static_cast<unsigned long long>(t.hedge_wins),
-      static_cast<unsigned long long>(t.hedge_wasted),
       static_cast<unsigned long long>(t.backpressure_stalls));
   print_stage(f, "gen", t.gen, ",");
   print_stage(f, "queue", t.queue, ",");
@@ -119,24 +105,6 @@ void print_run(std::FILE* f, const char* name, const serve::ServeReport& r,
   print_stage(f, "step", t.step, ",");
   print_stage(f, "e2e", t.e2e, "");
   std::fprintf(f, "    }\n  }%s\n", trail);
-}
-
-void dump_verdicts(const std::vector<serve::ServeVerdict>& vs,
-                   const char* path) {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[serve] cannot write %s\n", path);
-    std::exit(1);
-  }
-  for (const serve::ServeVerdict& v : vs)
-    std::fprintf(f, "%u %u %u %016llx %016llx %u %u\n", v.tick, v.host,
-                 static_cast<unsigned>(v.outcome),
-                 static_cast<unsigned long long>(
-                     std::bit_cast<std::uint64_t>(v.score)),
-                 static_cast<unsigned long long>(
-                     std::bit_cast<std::uint64_t>(v.ewma)),
-                 v.alarm ? 1U : 0U, v.stale ? 1U : 0U);
-  std::fclose(f);
 }
 
 }  // namespace
@@ -171,9 +139,9 @@ int main(int argc, char** argv) {
                std::string(ml::backend_kind_name(ml::infer_backend_kind()))
                    .c_str());
 
-  const double t0 = now_ms();
+  const double t0 = benchutil::now_ms();
   const serve::FleetSetup fleet = serve::make_fleet(fc);
-  const double setup_ms = now_ms() - t0;
+  const double setup_ms = benchutil::now_ms() - t0;
   std::fprintf(stderr,
                "[serve] setup done in %.0f ms: %zu-feature %s model, "
                "%zu bank rows, %zu/%zu malware hosts\n",
@@ -184,9 +152,6 @@ int main(int argc, char** argv) {
 
   serve::ServeConfig base;
   base.threads = exp.threads;
-  base.straggler_rate = 0.05;
-  base.straggler_reps = 2;
-  base.hedge = true;
 
   serve::ServeConfig batched = base;
   batched.batched = true;
@@ -230,7 +195,7 @@ int main(int argc, char** argv) {
           : 0.0;
 
   if (verdict_path != nullptr)
-    dump_verdicts(run_batched.verdicts, verdict_path);
+    benchutil::dump_verdicts(run_batched.verdicts, verdict_path, "serve");
 
   std::FILE* f = std::fopen(out_path, "w");
   if (f == nullptr) {

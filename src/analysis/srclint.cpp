@@ -216,6 +216,16 @@ const std::vector<RuleDef>& rule_defs() {
         {},
         true,
         true});
+    r.push_back(RuleDef{
+        {"env-read",
+         "getenv / secure_getenv outside the two sanctioned knobs",
+         "an environment variable is a hidden, unlogged input; only "
+         "HMD_THREADS and HMD_INFER_BACKEND exist, and neither changes "
+         "results"},
+        std::regex(R"(\b(secure_)?getenv\s*\()"),
+        {"src/support/parallel.cpp", "src/ml/infer.cpp"},
+        false,
+        false});
     return r;
   }();
   return defs;

@@ -28,6 +28,10 @@
 //   local-static         mutable function-local `static` in library code
 //                        (src/) — hidden cross-call state breaks the "work
 //                        unit i depends only on i" parallel contract.
+//   env-read             getenv / secure_getenv outside src/support/
+//                        parallel.cpp (HMD_THREADS) and src/ml/infer.cpp
+//                        (HMD_INFER_BACKEND) — no new environment knob can
+//                        come back unseen.
 //
 // A violation is silenced only by an inline comment on the same line (or a
 // comment-only line immediately above):

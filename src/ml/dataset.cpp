@@ -1,7 +1,6 @@
 #include "ml/dataset.h"
 
 #include <algorithm>
-#include <cstdlib>
 #include <limits>
 #include <numeric>
 #include <set>
@@ -9,29 +8,6 @@
 #include "support/check.h"
 
 namespace hmd::ml {
-
-namespace {
-
-// -1 = unresolved (read HMD_LEGACY_DATASET on first use), else DatasetMode.
-std::atomic<int> g_dataset_mode{-1};
-
-}  // namespace
-
-DatasetMode dataset_mode() {
-  int mode = g_dataset_mode.load(std::memory_order_relaxed);
-  if (mode < 0) {
-    const char* env = std::getenv("HMD_LEGACY_DATASET");
-    mode = (env != nullptr && env[0] == '1')
-               ? static_cast<int>(DatasetMode::kLegacy)
-               : static_cast<int>(DatasetMode::kColumnar);
-    g_dataset_mode.store(mode, std::memory_order_relaxed);
-  }
-  return static_cast<DatasetMode>(mode);
-}
-
-void set_dataset_mode(DatasetMode mode) {
-  g_dataset_mode.store(static_cast<int>(mode), std::memory_order_relaxed);
-}
 
 namespace detail {
 
@@ -218,18 +194,6 @@ Dataset Dataset::select_features(std::span<const std::size_t> features) const {
 }
 
 Dataset Dataset::subset(std::span<const std::size_t> rows) const {
-  if (dataset_mode() == DatasetMode::kLegacy) {
-    // Reference path: deep copy, as before the columnar core.
-    Dataset out(storage_->feature_names);
-    out.reserve(rows.size());
-    for (std::size_t i : rows) {
-      HMD_REQUIRE(i < num_rows());
-      const std::span<const double> r = row(i);
-      out.add_row(std::vector<double>(r.begin(), r.end()), label(i), w_[i],
-                  group(i));
-    }
-    return out;
-  }
   Dataset out;
   out.storage_ = storage_;
   out.rows_.reserve(rows.size());

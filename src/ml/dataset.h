@@ -26,13 +26,8 @@
 // published through the `runs_built` release-store; after a true
 // acquire-load it is immutable and read lock-free through runs_of(). The
 // guarded-build/lock-free-read protocol is annotated for clang's
-// -Wthread-safety analysis (support/thread_safety.h).
-//
-// `HMD_LEGACY_DATASET=1` (or set_dataset_mode) selects the legacy
-// reference path — deep-copy resampling and per-node sorting — kept for one
-// release so bench/micro_ml can measure the columnar speedup against it.
-// Both paths are bit-identical; see DESIGN.md §9 for the tie-break and
-// determinism contract.
+// -Wthread-safety analysis (support/thread_safety.h). DESIGN.md §9 gives
+// the tie-break and determinism contract.
 #pragma once
 
 #include <atomic>
@@ -46,18 +41,6 @@
 #include "support/thread_safety.h"
 
 namespace hmd::ml {
-
-/// Which data-layer implementation services resampling and split search.
-enum class DatasetMode {
-  kColumnar,  ///< zero-copy views + presorted-feature training (default)
-  kLegacy,    ///< deep-copy resampling + per-node sorts (reference path)
-};
-
-/// Process-wide dataset mode: HMD_LEGACY_DATASET=1 selects kLegacy,
-/// otherwise kColumnar. set_dataset_mode overrides the environment (used by
-/// bench/micro_ml to A/B both paths in one process, and by tests).
-DatasetMode dataset_mode();
-void set_dataset_mode(DatasetMode mode);
 
 namespace detail {
 
@@ -175,9 +158,8 @@ class Dataset {
   /// it) has identity feature numbering.
   Dataset select_features(std::span<const std::size_t> features) const;
 
-  /// New dataset with the given rows (indices may repeat — bootstrap).
-  /// Columnar mode: a zero-copy view sharing this dataset's storage.
-  /// Legacy mode: a deep copy (the pre-columnar reference behaviour).
+  /// New dataset with the given rows (indices may repeat — bootstrap): a
+  /// zero-copy view sharing this dataset's storage.
   Dataset subset(std::span<const std::size_t> rows) const;
 
   /// Bootstrap sample of the same size, drawn uniformly with replacement.

@@ -54,7 +54,7 @@ JRip::Rule JRip::grow_rule(const Dataset& data,
 
   // Per-feature sorted lists of the grow set, built once per rule from the
   // storage's value-run cache and filtered in place as conditions accrue
-  // (ties stay in grow-set order, matching the legacy stable sort).
+  // (ties stay in grow-set order: the canonical order of ml/presort.h).
   Presort presort(data);
   Presort::Lists lists = presort.make_lists(covered);
 

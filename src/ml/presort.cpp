@@ -1,19 +1,14 @@
 #include "ml/presort.h"
 
-#include <algorithm>
-
 #include "support/check.h"
 
 namespace hmd::ml {
 
 Presort::Presort(const Dataset& data)
-    : data_(&data),
-      columnar_(dataset_mode() == DatasetMode::kColumnar),
-      identity_(data.is_identity_view()) {}
+    : data_(&data), identity_(data.is_identity_view()) {}
 
 Presort::Lists Presort::make_lists(std::span<const std::size_t> rows) {
   Lists out;
-  if (!columnar_) return out;
   const std::size_t nf = data_->num_features();
   const std::uint32_t* map = data_->row_map().data();
   out.per.resize(nf);
@@ -38,7 +33,6 @@ void Presort::split_lists(const Lists& parent,
                           std::span<const std::size_t> parent_rows,
                           std::size_t feature, double threshold, Lists* left,
                           Lists* right) {
-  if (!columnar_) return;
   // Flags are only ever read for this node's rows, all of which are written
   // below, so the scratch never needs resetting between nodes.
   side_.resize(data_->num_rows());
@@ -66,7 +60,6 @@ void Presort::split_lists(const Lists& parent,
 
 void Presort::filter_lists(Lists* lists, std::size_t feature, bool leq,
                            double value) const {
-  if (!columnar_) return;
   const double* col = data_->raw_column(feature).data();
   const std::uint32_t* map = data_->row_map().data();
   for (List& list : lists->per) {
@@ -81,36 +74,22 @@ void Presort::filter_lists(Lists* lists, std::size_t feature, bool leq,
 
 void Presort::gather(std::span<const std::size_t> rows, const Lists& lists,
                      std::size_t f, std::vector<SweepItem>& items) const {
-  items.clear();
-  if (columnar_) {
-    const List& list = lists.per[f];
-    HMD_INVARIANT(list.size() == rows.size());
-    // Hoist the storage pointers: the compiler cannot prove the writes to
-    // `items` don't alias the dataset internals, so the inline accessors
-    // would reload them on every iteration.
-    const double* col = data_->raw_column(f).data();
-    const int* y = data_->raw_labels().data();
-    const double* w = data_->weights().data();
-    const std::uint32_t* map = data_->row_map().data();
-    items.resize(list.size());
-    SweepItem* out = items.data();
-    if (identity_) {
-      for (std::uint32_t r : list) *out++ = {col[r], y[r], w[r]};
-    } else {
-      for (std::uint32_t r : list) *out++ = {col[map[r]], y[map[r]], w[r]};
-    }
-    return;
+  const List& list = lists.per[f];
+  HMD_INVARIANT(list.size() == rows.size());
+  // Hoist the storage pointers: the compiler cannot prove the writes to
+  // `items` don't alias the dataset internals, so the inline accessors
+  // would reload them on every iteration.
+  const double* col = data_->raw_column(f).data();
+  const int* y = data_->raw_labels().data();
+  const double* w = data_->weights().data();
+  const std::uint32_t* map = data_->row_map().data();
+  items.resize(list.size());
+  SweepItem* out = items.data();
+  if (identity_) {
+    for (std::uint32_t r : list) *out++ = {col[r], y[r], w[r]};
+  } else {
+    for (std::uint32_t r : list) *out++ = {col[map[r]], y[map[r]], w[r]};
   }
-  items.reserve(rows.size());
-  for (std::size_t r : rows)
-    items.push_back(
-        {data_->value(r, f), data_->label(r), data_->weight(r)});
-  // stable: ties keep the node-row order — the canonical tie-break both
-  // implementations share.
-  std::stable_sort(items.begin(), items.end(),
-                   [](const SweepItem& a, const SweepItem& b) {
-                     return a.v < b.v;
-                   });
 }
 
 }  // namespace hmd::ml

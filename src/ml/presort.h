@@ -8,18 +8,12 @@
 //   list (for trees that list is always ascending view-row order; for
 //   JRip's grow sets it is the shuffled grow order).
 //
-// Two interchangeable implementations produce *identical* SweepItem
-// sequences — same values, same tie order, hence bit-identical accumulated
-// sums, gains and thresholds:
-//
-//   * legacy (HMD_LEGACY_DATASET=1): gather the node rows and
-//     std::stable_sort by value — the reference path, O(n log n) per node
-//     per feature;
-//   * columnar (default): counting-sort the training set's rows once per
-//     tree/rule by each feature's cached value-run ids
-//     (Dataset::feature_runs), then maintain the per-feature sorted lists
-//     down the tree by order-preserving partition — O(features · n) per
-//     node, no comparison sort anywhere below the root.
+// Presort produces that sequence without a comparison sort below the root:
+// it counting-sorts the training set's rows once per tree/rule by each
+// feature's cached value-run ids (Dataset::feature_runs), then maintains the
+// per-feature sorted lists down the tree by order-preserving partition —
+// O(features · n) per node. The sequence equals gathering the node rows and
+// std::stable_sort-ing them by value, which the tests use as the oracle.
 //
 // A counting sort keyed by run id is stable in the input order, and an
 // order-preserving partition of a sorted list leaves each side sorted, so
@@ -47,26 +41,21 @@ class Presort {
   /// View rows of one node, sorted by one feature (canonical order).
   using List = std::vector<std::uint32_t>;
 
-  /// One List per feature of the same node. Empty in legacy mode (gather
-  /// then sorts on the fly).
+  /// One List per feature of the same node.
   struct Lists {
     std::vector<List> per;
   };
 
-  /// Binds to the training view and captures the process dataset mode for
-  /// the duration of this training pass.
+  /// Binds to the training view for the duration of this training pass.
   explicit Presort(const Dataset& data);
 
-  bool columnar() const { return columnar_; }
-
   /// Sorted per-feature lists of `rows` via counting sort on the cached
-  /// value runs; ties keep the order rows appear in `rows`. Returns empty
-  /// lists in legacy mode.
+  /// value runs; ties keep the order rows appear in `rows`.
   Lists make_lists(std::span<const std::size_t> rows);
 
   /// Partition a node's lists by `x[feature] <= threshold` into left/right,
   /// preserving order (each side stays in canonical order). `parent_rows`
-  /// is the node's row set. No-op in legacy mode.
+  /// is the node's row set.
   void split_lists(const Lists& parent,
                    std::span<const std::size_t> parent_rows,
                    std::size_t feature, double threshold, Lists* left,
@@ -74,13 +63,12 @@ class Presort {
 
   /// Drop every list entry not matching the rule condition
   /// (x[feature] <= value, or >= when !leq) — JRip's grow-set shrink.
-  /// No-op in legacy mode.
   void filter_lists(Lists* lists, std::size_t feature, bool leq,
                     double value) const;
 
-  /// Fill `items` with the node's canonical scan sequence for feature `f`:
-  /// columnar mode reads the presorted list, legacy mode gathers `rows` and
-  /// stable-sorts. Both produce the same sequence.
+  /// Fill `items` with the node's canonical scan sequence for feature `f`,
+  /// read from the presorted list. `rows` is the node's row set, which the
+  /// list must match in size.
   void gather(std::span<const std::size_t> rows, const Lists& lists,
               std::size_t f, std::vector<SweepItem>& items) const;
 
@@ -89,7 +77,6 @@ class Presort {
 
  private:
   const Dataset* data_;
-  bool columnar_;
   bool identity_;  ///< dataset is an identity view (skip the row map)
   std::vector<std::uint32_t> offsets_;  ///< counting-sort scratch
   std::vector<std::uint8_t> side_;      ///< split_lists per-row side flags

@@ -5,7 +5,6 @@
 #include <bit>
 #include <chrono>
 #include <exception>
-#include <map>
 #include <memory>
 #include <optional>
 #include <span>
@@ -16,13 +15,11 @@
 #include "support/check.h"
 #include "support/parallel.h"
 #include "support/rng.h"
-#include "support/thread_safety.h"
 
 namespace hmd::serve {
 
 namespace {
 
-constexpr std::uint64_t kStragglerSalt = 0x57A661E2B0A7ED15ULL;
 constexpr std::uint64_t kHarvestSalt = 0xB3A9D17E4C08F562ULL;
 
 double now_us() {
@@ -31,21 +28,9 @@ double now_us() {
       .count();
 }
 
-/// Seeded per-(tick, shard) straggler mark. A pure function of the fleet
-/// seed — independent of worker count, so straggler_batches and
-/// hedges_launched stay in the deterministic domain.
-bool straggles(std::uint64_t seed, std::uint32_t tick, std::uint32_t shard,
-               double rate) {
-  if (rate <= 0.0) return false;
-  const std::uint64_t v =
-      mix64(mix64(seed ^ kStragglerSalt) ^
-            ((static_cast<std::uint64_t>(tick) << 32) | shard));
-  return static_cast<double>(v >> 11) * 0x1.0p-53 < rate;
-}
-
 /// Deterministic per-(host, tick) harvest-sampling decision: whether an
 /// admitted window row is kept as retrain input. A pure hash, independent
-/// of the drop/scale/straggler streams, so harvesting perturbs nothing.
+/// of the drop and scale streams, so harvesting perturbs nothing.
 bool harvest_keep(std::uint64_t seed, std::uint32_t host, std::uint32_t tick,
                   double keep_prob) {
   if (keep_prob >= 1.0) return true;
@@ -55,13 +40,10 @@ bool harvest_keep(std::uint64_t seed, std::uint32_t host, std::uint32_t tick,
   return static_cast<double>(v >> 11) * 0x1.0p-53 < keep_prob;
 }
 
-/// One unit of work: a (tick, shard) batch, or its hedge duplicate.
+/// One unit of work: a (tick, shard) batch.
 struct Task {
   std::uint32_t tick = 0;
   std::uint32_t shard = 0;
-  bool is_hedge = false;  ///< score-only duplicate for the hedge store
-  bool hedged = false;    ///< a hedge duplicate was launched for this batch
-  std::uint32_t straggler_reps = 0;  ///< injected extra re-scores
   /// Inference engine of the model epoch current at DISPATCH time. Bound
   /// by the controller, on the virtual tick clock — a late-executing task
   /// still scores with the epoch its tick belongs to, which is what keeps
@@ -69,10 +51,9 @@ struct Task {
   /// hot-swap. Points into run_fleet-owned storage that outlives workers.
   const ml::InferenceBackend* backend = nullptr;
   /// Row-major features of the *scored* hosts of the shard, in shard host
-  /// order. Shared so a hedge duplicate needs no copy.
-  std::shared_ptr<const std::vector<double>> rows;
-  /// Outcome per shard host (parallel to the shard's host list); empty for
-  /// hedge tasks.
+  /// order.
+  std::vector<double> rows;
+  /// Outcome per shard host (parallel to the shard's host list).
   std::vector<SampleOutcome> outcomes;
   double created_us = 0.0;  ///< batch assembly start (e2e anchor)
   double enqueue_us = 0.0;  ///< queue-wait anchor
@@ -85,39 +66,10 @@ struct Chunk {
   std::vector<ServeVerdict> verdicts;
   std::uint64_t alarms = 0;  ///< false->true transitions in this batch
   std::uint64_t scored = 0;  ///< rows scored (== admitted hosts)
-  bool hedge_win = false;    ///< the hedge duplicate's scores arrived first
   double queue_us = 0.0;
   double score_us = 0.0;
   double step_us = 0.0;
   double e2e_us = 0.0;
-};
-
-/// Rendezvous for hedge results: the hedge worker deposits the batch's
-/// scores keyed by (tick, shard); the owner consumes them if they beat its
-/// own scoring. Scores are bit-identical either way (same backend, same
-/// rows), so this race affects latency only.
-class HedgeStore {
- public:
-  void put(std::uint32_t tick, std::uint32_t shard,
-           std::vector<double> scores) {
-    support::MutexLock lock(mutex_);
-    store_.emplace(std::make_pair(tick, shard), std::move(scores));
-  }
-
-  std::optional<std::vector<double>> take(std::uint32_t tick,
-                                          std::uint32_t shard) {
-    support::MutexLock lock(mutex_);
-    const auto it = store_.find(std::make_pair(tick, shard));
-    if (it == store_.end()) return std::nullopt;
-    std::vector<double> scores = std::move(it->second);
-    store_.erase(it);
-    return scores;
-  }
-
- private:
-  support::Mutex mutex_;
-  std::map<std::pair<std::uint32_t, std::uint32_t>, std::vector<double>>
-      store_ HMD_GUARDED_BY(mutex_);
 };
 
 }  // namespace
@@ -181,7 +133,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
         std::make_unique<support::BoundedQueue<Task>>(cfg.queue_capacity));
   support::BoundedQueue<Chunk> result_q(
       std::max<std::size_t>(64, 4 * workers));
-  HedgeStore hedges;
 
   ServeReport report;
   ServeCounters& counters = report.counters;
@@ -199,7 +150,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
       timing.score.add(c->score_us);
       timing.step.add(c->step_us);
       timing.e2e.add(c->e2e_us);
-      if (c->hedge_win) ++timing.hedge_wins;
       ++counters.batches;
       counters.scored_rows += c->scored;
       counters.alarms_raised += c->alarms;
@@ -248,34 +198,15 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   for (std::size_t w = 0; w < workers; ++w) {
     pool.emplace_back([&, w] {
       std::vector<double> scores;
-      std::vector<double> waste;
       while (std::optional<Task> t = task_q[w]->pop()) {
         const double pop_us = now_us();
         Task& task = *t;
-        if (task.is_hedge) {
-          std::vector<double> dup;
-          score_batch(*task.backend, *task.rows, dup);
-          hedges.put(task.tick, task.shard, std::move(dup));
-          continue;
-        }
-        // Straggler injection: re-score and discard. Burns deterministic
-        // extra work in the owner so the hedge has something to win.
-        for (std::uint32_t rep = 0; rep < task.straggler_reps; ++rep)
-          score_batch(*task.backend, *task.rows, waste);
-        bool hedge_win = false;
-        if (task.hedged) {
-          if (auto dup = hedges.take(task.tick, task.shard)) {
-            scores = std::move(*dup);
-            hedge_win = true;
-          }
-        }
-        if (!hedge_win) score_batch(*task.backend, *task.rows, scores);
+        score_batch(*task.backend, task.rows, scores);
         const double scored_us = now_us();
 
         Chunk c;
         c.tick = task.tick;
         c.shard = task.shard;
-        c.hedge_win = hedge_win;
         c.verdicts.reserve(task.outcomes.size());
         std::vector<core::OnlineState>& st = state[task.shard];
         std::vector<std::uint8_t>& ever = ever_alarmed[task.shard];
@@ -319,7 +250,7 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   }
 
   // Controller (this thread): the single producer. Admission, drops, batch
-  // assembly, and straggler/hedge marks all happen here, on the virtual
+  // and assembly all happen here, on the virtual
   // tick clock, in (tick, shard, host) order — the deterministic domain.
   const std::uint64_t admit_cap =
       cfg.admit_burst > 0 ? cfg.admit_burst : cfg.admit_per_tick;
@@ -329,10 +260,8 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   std::uint64_t missing = 0;
   std::uint64_t shed = 0;
   std::uint64_t admitted = 0;
-  std::uint64_t straggler_batches = 0;
-  std::uint64_t hedges_launched = 0;
   std::uint64_t stalls = 0;
-  std::uint64_t dispatched = 0;  ///< non-hedge tasks, barrier denominator
+  std::uint64_t dispatched = 0;  ///< barrier denominator
   LatencyStats gen_stats;
 
   // Model-epoch state. Epoch 0 serves with the fleet's backend; a single
@@ -400,8 +329,8 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     for (std::uint32_t s = 0; s < num_shards; ++s) {
       const double t0 = now_us();
       const std::vector<std::uint32_t>& members = shard_hosts[s];
-      auto rows = std::make_shared<std::vector<double>>();
-      rows->reserve(members.size() * nf);
+      std::vector<double> rows;
+      rows.reserve(members.size() * nf);
       std::vector<SampleOutcome> outcomes(members.size(),
                                           SampleOutcome::kScored);
       for (std::size_t i = 0; i < members.size(); ++i) {
@@ -417,9 +346,9 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
           continue;
         }
         ++admitted;
-        const std::size_t at = rows->size();
-        rows->resize(at + nf);
-        gen_features(fleet, h, tick, std::span<double>(*rows).subspan(at, nf));
+        const std::size_t at = rows.size();
+        rows.resize(at + nf);
+        gen_features(fleet, h, tick, std::span<double>(rows).subspan(at, nf));
         // Harvest (post-trigger): a deterministic hash-sample of admitted
         // windows becomes retrain input, labelled by ground truth — the
         // analyst-triage model (drift.h). Rows are copied here, at
@@ -427,7 +356,7 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
         if (harvesting && tick >= harvest_from && tick < harvest_until &&
             harvest_labels.size() < cfg.refresh.max_window_rows &&
             harvest_keep(fleet.cfg.seed, h, tick, harvest_keep_prob)) {
-          const std::span<const double> row(*rows);
+          const std::span<const double> row(rows);
           harvest_rows.insert(harvest_rows.end(), row.begin() + at,
                               row.begin() + at + nf);
           harvest_labels.push_back(host_infected(fleet, h, tick) ? 1 : 0);
@@ -438,37 +367,12 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
       task.tick = tick;
       task.shard = s;
       task.backend = current_backend;
-      task.rows = rows;
+      task.rows = std::move(rows);
       task.outcomes = std::move(outcomes);
       task.created_us = t0;
-      const bool straggle =
-          straggles(fleet.cfg.seed, tick, s, cfg.straggler_rate);
-      if (straggle) {
-        ++straggler_batches;
-        task.straggler_reps = cfg.straggler_reps;
-        if (cfg.hedge && !rows->empty()) {
-          // Hedge goes out FIRST, to the next worker's queue: with one
-          // worker it lands ahead of the straggling batch and always wins;
-          // with several it genuinely races.
-          ++hedges_launched;
-          task.hedged = true;
-          Task hedge;
-          hedge.tick = tick;
-          hedge.shard = s;
-          hedge.is_hedge = true;
-          hedge.backend = current_backend;
-          hedge.rows = rows;
-          hedge.enqueue_us = now_us();
-          const std::size_t hw = (s + 1) % workers;
-          if (!task_q[hw]->try_push(hedge)) {
-            ++stalls;
-            task_q[hw]->push(std::move(hedge));
-          }
-        }
-      }
       gen_stats.add(now_us() - t0);
       task.enqueue_us = now_us();
-      ++dispatched;  // hedge duplicates don't count toward the barrier
+      ++dispatched;
       const std::size_t w = s % workers;
       if (!task_q[w]->try_push(task)) {
         ++stalls;  // backpressure: a full queue stalls the controller
@@ -562,8 +466,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   counters.emitted = counters.offered - missing;
   counters.admitted = admitted;
   counters.shed = shed;
-  counters.straggler_batches = straggler_batches;
-  counters.hedges_launched = hedges_launched;
   counters.malware_hosts = fleet.malware_hosts;
   counters.campaign_hosts = fleet.campaign_hosts;
   for (const auto& flags : ever_alarmed)
@@ -591,7 +493,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
       timing.wall_ms > 0.0
           ? static_cast<double>(counters.offered) * 1000.0 / timing.wall_ms
           : 0.0;
-  timing.hedge_wasted = hedges_launched - timing.hedge_wins;
   timing.backpressure_stalls = stalls;
   timing.barrier_ms = barrier_us / 1000.0;
 

@@ -15,9 +15,12 @@
 // Pipeline stages and roles:
 //
 //   controller (1 thread)  — per tick: token-bucket admission (explicit
-//     shed accounting), drop simulation, batch assembly, straggler/hedge
-//     decisions; pushes batches to per-worker BoundedQueues (backpressure:
-//     a full queue stalls the controller, counted, never dropped).
+//     shed accounting), drop simulation and batch assembly; binds the
+//     current model epoch into each (tick, shard) batch and pushes it to
+//     the owning worker's BoundedQueue (backpressure: a full queue stalls
+//     the controller, counted, never dropped). With drift detection on, it
+//     drains the pipeline at each check and drives the refresh
+//     (serve/drift.h).
 //   workers (N threads)    — own a fixed partition of shards (shard
 //     s -> worker s mod N): score the batch (one batched call, or
 //     row-by-row in the unbatched A/B mode), step the shard's per-host
@@ -26,21 +29,14 @@
 //     (P^2 p50/p95/p99 per stage — serve/quantile.h) and the verdict
 //     stream.
 //
-// Tail-latency machinery: per-(tick, shard) straggler injection (a seeded
-// decision slows the owning worker by re-scoring the batch a configured
-// number of extra times) and hedging — the controller launches a duplicate
-// score-only task on the *next* worker for batches it marked straggling;
-// whichever result is ready first is used. Scores are bit-identical either
-// way, so hedging is invisible to the verdict stream.
-//
 // Determinism contract (enforced by tests and the ci.sh serve leg): the
 // verdict stream and every field of ServeCounters are bit-identical across
-// worker counts, batched vs unbatched scoring, and hedging on or off,
-// under a fixed seed. Everything decided on the virtual tick clock —
-// admission, shed, drops, straggler marks, hedge launches, scores, alarm
-// transitions — is deterministic; everything *measured* (stage latencies,
-// hedge win/waste, backpressure stalls, throughput) lives in ServeTiming
-// and is explicitly excluded from the contract.
+// worker counts and batched vs unbatched scoring, under a fixed seed.
+// Everything decided on the virtual tick clock — admission, shed, drops,
+// scores, alarm transitions, drift checks and the model swap — is
+// deterministic; everything *measured* (stage latencies, backpressure
+// stalls, throughput) lives in ServeTiming and is explicitly excluded from
+// the contract.
 #pragma once
 
 #include <cstdint>
@@ -75,13 +71,6 @@ struct ServeConfig {
   std::uint64_t admit_per_tick = 0;
   /// Bucket (burst) capacity; 0 means admit_per_tick.
   std::uint64_t admit_burst = 0;
-  /// Per-(tick, shard) probability the owning worker straggles (seeded,
-  /// deterministic); the slowdown is `straggler_reps` wasted re-scores.
-  double straggler_rate = 0.0;
-  std::uint32_t straggler_reps = 3;
-  /// Launch a duplicate score-only task on the next worker for batches
-  /// marked straggling. Changes latency, never results.
-  bool hedge = true;
   /// Keep the full verdict stream in the report (hosts × ticks entries).
   /// The verdict hash is computed either way.
   bool record_verdicts = true;
@@ -116,9 +105,9 @@ struct ServeVerdict {
   bool stale = false;
 };
 
-/// Deterministic domain: bit-identical across worker counts, batched vs
-/// unbatched, hedging on/off (fixed seed). The ci.sh serve leg diffs these
-/// across thread counts byte for byte.
+/// Deterministic domain: bit-identical across worker counts and batched vs
+/// unbatched scoring (fixed seed). The ci.sh serve leg diffs these across
+/// thread counts byte for byte.
 struct ServeCounters {
   std::uint64_t hosts = 0;
   std::uint64_t ticks = 0;
@@ -130,8 +119,10 @@ struct ServeCounters {
   std::uint64_t shed = 0;       ///< emitted samples rejected by admission
   std::uint64_t batches = 0;    ///< one per (tick, shard)
   std::uint64_t scored_rows = 0;        ///< == admitted
-  std::uint64_t straggler_batches = 0;  ///< seeded straggler marks
-  std::uint64_t hedges_launched = 0;    ///< duplicate tasks dispatched
+  // Always 0: straggler injection and hedging are gone, but
+  // perfbench/harness.h's counter_fields still names these two fields.
+  std::uint64_t straggler_batches = 0;
+  std::uint64_t hedges_launched = 0;
   std::uint64_t alarms_raised = 0;   ///< false->true alarm transitions
   std::uint64_t alarmed_hosts = 0;   ///< hosts whose alarm ever raised
   std::uint64_t malware_hosts = 0;   ///< ground truth from the fleet
@@ -159,11 +150,9 @@ struct ServeTiming {
   double intervals_per_sec = 0.0;  ///< offered / wall seconds
   LatencyStats gen;    ///< controller: emit + admission + batch assembly
   LatencyStats queue;  ///< task wait in the worker queue
-  LatencyStats score;  ///< batch scoring (incl. injected straggler work)
+  LatencyStats score;  ///< batch scoring
   LatencyStats step;   ///< per-host state stepping + verdict emit
   LatencyStats e2e;    ///< batch assembly start -> verdicts emitted
-  std::uint64_t hedge_wins = 0;    ///< hedge result arrived first
-  std::uint64_t hedge_wasted = 0;  ///< hedges_launched - hedge_wins
   std::uint64_t backpressure_stalls = 0;  ///< controller blocked on a queue
   double retrain_ms = 0.0;    ///< background retrain wall time
   double swap_wait_ms = 0.0;  ///< controller blocked at the swap tick

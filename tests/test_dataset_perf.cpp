@@ -1,10 +1,15 @@
-// Columnar dataset core: view semantics, presort canonical ordering, and
-// bit-identity of the columnar training path against the legacy row-copy
-// path (HMD_LEGACY_DATASET=1), including across worker-thread counts.
+// Columnar dataset core: view semantics, presort canonical ordering checked
+// against a gather + stable_sort oracle, recorded score goldens on tied,
+// weighted data, and grid results across worker-thread counts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <iterator>
+#include <memory>
+#include <span>
+#include <string>
 #include <vector>
 
 #include "core/hmd.h"
@@ -13,20 +18,6 @@
 
 namespace hmd::ml {
 namespace {
-
-/// Force a dataset mode for one test body; restores the prior mode on exit.
-class ScopedDatasetMode {
- public:
-  explicit ScopedDatasetMode(DatasetMode mode) : prev_(dataset_mode()) {
-    set_dataset_mode(mode);
-  }
-  ~ScopedDatasetMode() { set_dataset_mode(prev_); }
-  ScopedDatasetMode(const ScopedDatasetMode&) = delete;
-  ScopedDatasetMode& operator=(const ScopedDatasetMode&) = delete;
-
- private:
-  DatasetMode prev_;
-};
 
 /// Small dataset with duplicated feature values (ties) and non-unit
 /// weights — the regime where sweep order could diverge between paths.
@@ -48,7 +39,6 @@ Dataset tied_weighted(std::uint64_t seed) {
 }
 
 TEST(DatasetView, SubsetSharesStorageInColumnarMode) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(1);
   const Dataset s = d.subset(std::vector<std::size_t>{5, 5, 2});
   EXPECT_EQ(s.storage_id(), d.storage_id());
@@ -59,16 +49,7 @@ TEST(DatasetView, SubsetSharesStorageInColumnarMode) {
   EXPECT_EQ(s.storage_row(2), 2u);
 }
 
-TEST(DatasetView, SubsetCopiesInLegacyMode) {
-  const ScopedDatasetMode mode(DatasetMode::kLegacy);
-  const Dataset d = tied_weighted(1);
-  const Dataset s = d.subset(std::vector<std::size_t>{5, 5, 2});
-  EXPECT_NE(s.storage_id(), d.storage_id());
-  EXPECT_DOUBLE_EQ(s.row(0)[0], d.row(5)[0]);
-}
-
 TEST(DatasetView, ViewWeightsAreIsolatedFromParent) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(2);
   Dataset s = d.subset(std::vector<std::size_t>{0, 1, 2, 3});
   std::vector<double> w{9.0, 9.0, 9.0, 9.0};
@@ -80,7 +61,6 @@ TEST(DatasetView, ViewWeightsAreIsolatedFromParent) {
 }
 
 TEST(DatasetView, SelectFeaturesMaterialisesIdentityView) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(3);
   const Dataset sub = d.subset(std::vector<std::size_t>{7, 3, 3, 1});
   const Dataset proj = sub.select_features(std::vector<std::size_t>{2, 0});
@@ -92,7 +72,6 @@ TEST(DatasetView, SelectFeaturesMaterialisesIdentityView) {
 }
 
 TEST(DatasetView, AddRowAfterWarmCacheCopiesOnWrite) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   Dataset d = tied_weighted(4);
   const Dataset view = d.subset(std::vector<std::size_t>{0, 1});
   d.warm_presort_cache();
@@ -105,55 +84,43 @@ TEST(DatasetView, AddRowAfterWarmCacheCopiesOnWrite) {
   EXPECT_NE(view.storage_id(), d.storage_id());
 }
 
-TEST(DatasetView, BootstrapDrawsIdenticalRowsInBothModes) {
-  const Dataset d = tied_weighted(5);
-  std::vector<std::vector<double>> rows[2];
-  std::vector<double> weights[2];
-  const DatasetMode modes[2] = {DatasetMode::kLegacy, DatasetMode::kColumnar};
-  for (int m = 0; m < 2; ++m) {
-    const ScopedDatasetMode mode(modes[m]);
-    Rng rng(77);
-    const Dataset b = d.bootstrap(rng);
-    Rng wrng(78);
-    const Dataset wb = d.weighted_bootstrap(wrng);
-    for (std::size_t i = 0; i < b.num_rows(); ++i) {
-      rows[m].emplace_back(b.row(i).begin(), b.row(i).end());
-      rows[m].emplace_back(wb.row(i).begin(), wb.row(i).end());
-      weights[m].push_back(b.weight(i));
-      weights[m].push_back(wb.weight(i));
-    }
+/// The reference scan sequence: gather the node rows, then stable-sort by
+/// value, so ties keep the order rows appear in `rows` (ml/presort.h).
+std::vector<SweepItem> oracle_gather(const Dataset& d,
+                                     std::span<const std::size_t> rows,
+                                     std::size_t f) {
+  std::vector<SweepItem> items;
+  for (std::size_t r : rows)
+    items.push_back({d.value(r, f), d.label(r), d.weight(r)});
+  std::stable_sort(items.begin(), items.end(),
+                   [](const SweepItem& a, const SweepItem& b) {
+                     return a.v < b.v;
+                   });
+  return items;
+}
+
+void expect_same_items(const std::vector<SweepItem>& got,
+                       const std::vector<SweepItem>& want,
+                       const std::string& where) {
+  ASSERT_EQ(got.size(), want.size()) << where;
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].v, want[i].v) << where << " item " << i;
+    EXPECT_EQ(got[i].y, want[i].y) << where << " item " << i;
+    EXPECT_EQ(got[i].w, want[i].w) << where << " item " << i;
   }
-  EXPECT_EQ(rows[0], rows[1]);
-  EXPECT_EQ(weights[0], weights[1]);
 }
 
 TEST(Presort, ListsMatchStableSortOrderOnTies) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(6);
   std::vector<std::size_t> rows{11, 3, 19, 3, 7, 0, 25};
-  Presort columnar(d);
-  const Presort::Lists lists = columnar.make_lists(rows);
+  Presort presort(d);
+  const Presort::Lists lists = presort.make_lists(rows);
   std::vector<SweepItem> fast;
-  columnar.gather(rows, lists, 0, fast);
-
-  // Reference: the legacy gather (stable sort over the node rows).
-  std::vector<SweepItem> slow;
-  {
-    const ScopedDatasetMode legacy(DatasetMode::kLegacy);
-    Presort ref(d);
-    const Presort::Lists none = ref.make_lists(rows);
-    ref.gather(rows, none, 0, slow);
-  }
-  ASSERT_EQ(fast.size(), slow.size());
-  for (std::size_t i = 0; i < fast.size(); ++i) {
-    EXPECT_EQ(fast[i].v, slow[i].v);
-    EXPECT_EQ(fast[i].y, slow[i].y);
-    EXPECT_EQ(fast[i].w, slow[i].w);
-  }
+  presort.gather(rows, lists, 0, fast);
+  expect_same_items(fast, oracle_gather(d, rows, 0), "feature 0");
 }
 
 TEST(Presort, SplitAndFilterPreserveSortedOrder) {
-  const ScopedDatasetMode mode(DatasetMode::kColumnar);
   const Dataset d = tied_weighted(7);
   std::vector<std::size_t> rows(d.num_rows());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
@@ -179,35 +146,79 @@ TEST(Presort, SplitAndFilterPreserveSortedOrder) {
   }
 }
 
-/// Every classifier family × ensemble mode must score bit-identically
-/// whether trained through the columnar presort path or the legacy
-/// sort-per-node path — on data with exact ties and non-unit weights.
-TEST(ModePairity, AllDetectorsScoreBitIdenticallyAcrossModes) {
-  const Dataset train = tied_weighted(8);
-  const Dataset test = tied_weighted(9);
-  for (ClassifierKind kind : all_classifier_kinds()) {
-    for (EnsembleKind ensemble : all_ensemble_kinds()) {
-      std::vector<double> scores[2];
-      const DatasetMode modes[2] = {DatasetMode::kLegacy,
-                                    DatasetMode::kColumnar};
-      for (int m = 0; m < 2; ++m) {
-        const ScopedDatasetMode mode(modes[m]);
-        auto detector = make_detector(kind, ensemble, 42);
-        detector->train(train);
-        for (std::size_t i = 0; i < test.num_rows(); ++i)
-          scores[m].push_back(detector->predict_proba(test.row(i)));
+/// Differential check of Presort against the oracle: random row sets with
+/// repeats, on the identity view and on non-identity views (a bootstrap-like
+/// subset with repeated storage rows and fresh weights), then random
+/// sequences of split_lists / filter_lists. After every step, gather must
+/// equal the oracle over the node's rows for every feature.
+TEST(Presort, GatherMatchesOracleThroughRandomSplitsAndFilters) {
+  const Dataset base = tied_weighted(10);
+  Rng rng(2024);
+  std::vector<Dataset> views{base};
+  for (int v = 0; v < 3; ++v) {
+    std::vector<std::size_t> pick(base.num_rows());
+    for (auto& r : pick) r = rng.below(base.num_rows());
+    Dataset view = base.subset(pick);
+    std::vector<double> w(view.num_rows());
+    for (auto& x : w) x = 0.5 + static_cast<double>(rng.below(5)) * 0.5;
+    view.set_weights(std::move(w));
+    views.push_back(std::move(view));
+  }
+  ASSERT_TRUE(views[0].is_identity_view());
+  ASSERT_FALSE(views[1].is_identity_view());
+
+  const auto check_all = [](const Presort& presort, const Dataset& d,
+                            const std::vector<std::size_t>& rows,
+                            const Presort::Lists& lists,
+                            const std::string& where) {
+    std::vector<SweepItem> got;
+    for (std::size_t f = 0; f < d.num_features(); ++f) {
+      presort.gather(rows, lists, f, got);
+      expect_same_items(got, oracle_gather(d, rows, f),
+                        where + " feature " + std::to_string(f));
+    }
+  };
+
+  for (std::size_t v = 0; v < views.size(); ++v) {
+    const Dataset& d = views[v];
+    for (int trial = 0; trial < 8; ++trial) {
+      const std::string where =
+          "view " + std::to_string(v) + " trial " + std::to_string(trial);
+      std::vector<std::size_t> rows(1 + rng.below(2 * d.num_rows()));
+      for (auto& r : rows) r = rng.below(d.num_rows());
+      Presort presort(d);
+      Presort::Lists lists = presort.make_lists(rows);
+      check_all(presort, d, rows, lists, where);
+
+      for (int step = 0; step < 6 && !rows.empty(); ++step) {
+        const std::size_t f = rng.below(d.num_features());
+        const double thr = d.value(rows[rng.below(rows.size())], f);
+        std::vector<std::size_t> kept;
+        if (rng.below(2) == 0) {
+          Presort::Lists left, right;
+          presort.split_lists(lists, rows, f, thr, &left, &right);
+          const bool go_left = rng.below(2) == 0;
+          for (std::size_t r : rows)
+            if ((d.value(r, f) <= thr) == go_left) kept.push_back(r);
+          lists = go_left ? std::move(left) : std::move(right);
+        } else {
+          const bool leq = rng.below(2) == 0;
+          presort.filter_lists(&lists, f, leq, thr);
+          for (std::size_t r : rows)
+            if (leq ? d.value(r, f) <= thr : d.value(r, f) >= thr)
+              kept.push_back(r);
+        }
+        rows = std::move(kept);
+        check_all(presort, d, rows, lists,
+                  where + " step " + std::to_string(step));
       }
-      EXPECT_EQ(scores[0], scores[1])
-          << classifier_kind_name(kind) << " / "
-          << ensemble_kind_name(ensemble);
     }
   }
 }
 
-/// End-to-end grid identity: a small experiment grid evaluated under
-/// legacy and columnar modes, with 1 and 4 worker threads, must produce
-/// byte-identical metrics in all four combinations.
-TEST(ModePairity, GridResultsInvariantToModeAndThreads) {
+/// End-to-end grid identity: a small experiment grid evaluated with 1 and
+/// 4 worker threads must produce byte-identical metrics.
+TEST(GridDeterminism, ResultsInvariantToThreads) {
   core::ExperimentConfig cfg;
   cfg.corpus.benign_per_template = 1;
   cfg.corpus.malware_per_template = 1;
@@ -223,25 +234,19 @@ TEST(ModePairity, GridResultsInvariantToModeAndThreads) {
   };
 
   std::vector<std::vector<double>> outcomes;
-  for (const DatasetMode mode :
-       {DatasetMode::kLegacy, DatasetMode::kColumnar}) {
-    for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
-      const ScopedDatasetMode scoped(mode);
-      // A fresh projection cache per run so each combination rebuilds its
-      // projected datasets under the mode being tested.
-      core::ExperimentContext run = ctx;
-      run.projections = std::make_shared<core::detail::ProjectionCache>();
-      const auto results = core::run_grid(run, cells, threads);
-      std::vector<double> flat;
-      for (const auto& cell : results) {
-        flat.push_back(cell.metrics.accuracy);
-        flat.push_back(cell.metrics.auc);
-      }
-      outcomes.push_back(std::move(flat));
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    // A fresh projection cache per run, so each builds its own projected
+    // datasets.
+    core::ExperimentContext run = ctx;
+    run.projections = std::make_shared<core::detail::ProjectionCache>();
+    std::vector<double> flat;
+    for (const auto& cell : core::run_grid(run, cells, threads)) {
+      flat.push_back(cell.metrics.accuracy);
+      flat.push_back(cell.metrics.auc);
     }
+    outcomes.push_back(std::move(flat));
   }
-  for (std::size_t i = 1; i < outcomes.size(); ++i)
-    EXPECT_EQ(outcomes[0], outcomes[i]) << "combination " << i;
+  EXPECT_EQ(outcomes[0], outcomes[1]);
 }
 
 /// Test-split score hashes of all 24 detectors trained on tied_weighted(8)

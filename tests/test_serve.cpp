@@ -1,8 +1,8 @@
 // Tests for the fleet serving layer (src/serve): token-bucket admission,
 // the P² streaming quantile estimator against a sorted reference, the
 // OnlineState automaton, and — the core contract — run_fleet determinism:
-// verdict streams and counters bit-identical across worker counts, batched
-// vs unbatched scoring, and hedging/straggler injection on or off.
+// verdict streams and counters bit-identical across worker counts and
+// batched vs unbatched scoring.
 //
 // This translation unit also replaces the global operator new/delete with
 // counting versions, which backs the no-allocation assertion on the
@@ -472,9 +472,6 @@ serve::ServeConfig base_config() {
   serve::ServeConfig cfg;
   cfg.threads = 1;
   cfg.shards = 5;  // several shards even on a 48-host fleet
-  cfg.straggler_rate = 0.25;
-  cfg.straggler_reps = 1;
-  cfg.hedge = true;
   cfg.record_verdicts = true;
   return cfg;
 }
@@ -491,8 +488,6 @@ void expect_same_counters(const serve::ServeCounters& a,
   EXPECT_EQ(a.shed, b.shed);
   EXPECT_EQ(a.batches, b.batches);
   EXPECT_EQ(a.scored_rows, b.scored_rows);
-  EXPECT_EQ(a.straggler_batches, b.straggler_batches);
-  EXPECT_EQ(a.hedges_launched, b.hedges_launched);
   EXPECT_EQ(a.alarms_raised, b.alarms_raised);
   EXPECT_EQ(a.alarmed_hosts, b.alarmed_hosts);
   EXPECT_EQ(a.malware_hosts, b.malware_hosts);
@@ -546,23 +541,6 @@ TEST(ServeFleet, BatchedAndUnbatchedScoringAgreeBitForBit) {
   const auto a = serve::run_fleet(fleet, batched);
   const auto b = serve::run_fleet(fleet, unbatched);
   expect_same_counters(a.counters, b.counters);
-  expect_same_verdicts(a.verdicts, b.verdicts);
-}
-
-TEST(ServeFleet, HedgingIsInvisibleToTheVerdictStream) {
-  const serve::FleetSetup& fleet = shared_fleet();
-  serve::ServeConfig hedged = base_config();
-  serve::ServeConfig unhedged = base_config();
-  unhedged.hedge = false;
-  const auto a = serve::run_fleet(fleet, hedged);
-  const auto b = serve::run_fleet(fleet, unhedged);
-  // Same straggler marks (seeded), hedges launched only when enabled.
-  EXPECT_GT(a.counters.straggler_batches, 0u);
-  EXPECT_EQ(a.counters.straggler_batches, b.counters.straggler_batches);
-  EXPECT_EQ(a.counters.hedges_launched, a.counters.straggler_batches);
-  EXPECT_EQ(b.counters.hedges_launched, 0u);
-  // Results are unchanged either way.
-  EXPECT_EQ(a.counters.verdict_hash, b.counters.verdict_hash);
   expect_same_verdicts(a.verdicts, b.verdicts);
 }
 

@@ -56,16 +56,47 @@ void write_file(const std::string& root, const std::string& rel,
 
 TEST(SrclintRules, TableIsStableAndDocumented) {
   const auto& rules = srclint_rules();
-  ASSERT_EQ(rules.size(), 5u);
+  ASSERT_EQ(rules.size(), 6u);
   EXPECT_EQ(rules[0].id, "rng-construct");
   EXPECT_EQ(rules[1].id, "wall-clock");
   EXPECT_EQ(rules[2].id, "unordered-container");
   EXPECT_EQ(rules[3].id, "pointer-key");
   EXPECT_EQ(rules[4].id, "local-static");
+  EXPECT_EQ(rules[5].id, "env-read");
   for (const auto& rule : rules) {
     EXPECT_FALSE(rule.bans.empty()) << rule.id;
     EXPECT_FALSE(rule.rationale.empty()) << rule.id;
   }
+}
+
+TEST(SrclintEnvRead, FlagsEnvironmentReadsInLibraryCode) {
+  const char* bad[] = {
+      "const char* v = std::getenv(\"HMD_NEW_KNOB\");",
+      "if (getenv(\"X\") != nullptr) {}",
+      "const char* s = secure_getenv (\"Y\");",
+  };
+  for (const char* line : bad) {
+    const auto result = srclint_scan_source("src/ml/dataset.cpp", line);
+    EXPECT_EQ(fired(result), std::vector<std::string>{"env-read"}) << line;
+  }
+}
+
+TEST(SrclintEnvRead, SanctionedKnobsStayLegal) {
+  const char* line = "const char* env = std::getenv(\"HMD_THREADS\");";
+  EXPECT_TRUE(fired(srclint_scan_source("src/support/parallel.cpp", line))
+                  .empty());
+  EXPECT_TRUE(
+      fired(srclint_scan_source("src/ml/infer.cpp", line)).empty());
+}
+
+TEST(SrclintEnvRead, CommentsStringsAndLookalikesAreInert) {
+  const char* text =
+      "// std::getenv(\"HMD_NEW_KNOB\") is gone\n"
+      "/* getenv(\"X\") */\n"
+      "const char* doc = \"call getenv(name) to read it\";\n"
+      "int my_getenv(int x);\n"
+      "std::string getenv_name;\n";
+  EXPECT_TRUE(fired(srclint_scan_source("src/ml/dataset.cpp", text)).empty());
 }
 
 TEST(SrclintRng, FlagsEveryBannedConstructor) {
@@ -319,6 +350,7 @@ TEST(SrclintTree, JsonEscapesSnippets) {
 TEST(SrclintSelfHost, TheRepositoryTreeIsClean) {
   // HMD_SRCLINT_ROOT is set by ctest to the repo source dir; when the test
   // binary runs outside ctest, fall back to skipping rather than guessing.
+  // HMD_SRCLINT_ALLOW(env-read): test-only root path, set by ctest
   const char* root = std::getenv("HMD_SRCLINT_ROOT");
   if (root == nullptr) GTEST_SKIP() << "HMD_SRCLINT_ROOT not set";
   const SrclintReport report = srclint_scan_tree(root, 0);

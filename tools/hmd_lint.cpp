@@ -51,7 +51,9 @@
 //        HMD_THREADS env, else hardware_concurrency — verdicts are
 //        identical for any thread count),
 //        --help (usage).
-#include <chrono>
+#include <cstdint>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <iostream>
 #include <sstream>
@@ -120,9 +122,9 @@ void print_help() {
       "  --max-p99-us N        serving tail-latency budget: a fixed-seed\n"
       "                        128-host fleet runs through the src/serve\n"
       "                        pipeline under mild overload (admission at\n"
-      "                        90% of offered load, seeded stragglers with\n"
-      "                        hedging); an end-to-end per-batch p99 above\n"
-      "                        N microseconds is a hard failure\n"
+      "                        90% of offered load); an end-to-end\n"
+      "                        per-batch p99 above N microseconds is a\n"
+      "                        hard failure\n"
       "                        (0 disables, the default)\n"
       "  --max-shed-rate R     serving shed budget, same scenario: the\n"
       "                        fraction of emitted samples rejected by\n"
@@ -155,29 +157,39 @@ LintArgs parse_args(int argc, char** argv) {
     }
   }
   args.config = hmd::benchutil::config_from_args(argc, argv);
+  // Every value below goes through the strict parsers: a malformed value
+  // or a value-taking flag given last exits 2, never silently becomes 0
+  // (which disables most budgets).
+  const struct {
+    const char* flag;
+    double* value;
+  } budgets[] = {
+      {"--max-mismatch", &args.max_mismatch},
+      {"--max-quarantine", &args.max_quarantine},
+      {"--max-impute", &args.max_impute},
+      {"--max-train-ms", &args.max_train_ms},
+      {"--max-predict-us", &args.max_predict_us},
+      {"--max-evasion-rate", &args.max_evasion},
+      {"--max-p99-us", &args.max_p99_us},
+      {"--max-shed-rate", &args.max_shed_rate},
+      {"--max-drift-lag", &args.max_drift_lag},
+      {"--min-refresh-recovery", &args.min_recovery},
+  };
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--fraction-bits") == 0 && i + 1 < argc)
-      args.fraction_bits = static_cast<int>(std::strtol(argv[i + 1], nullptr, 10));
-    if (std::strcmp(argv[i], "--max-mismatch") == 0 && i + 1 < argc)
-      args.max_mismatch = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-quarantine") == 0 && i + 1 < argc)
-      args.max_quarantine = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-impute") == 0 && i + 1 < argc)
-      args.max_impute = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-train-ms") == 0 && i + 1 < argc)
-      args.max_train_ms = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-predict-us") == 0 && i + 1 < argc)
-      args.max_predict_us = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-evasion-rate") == 0 && i + 1 < argc)
-      args.max_evasion = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-p99-us") == 0 && i + 1 < argc)
-      args.max_p99_us = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-shed-rate") == 0 && i + 1 < argc)
-      args.max_shed_rate = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--max-drift-lag") == 0 && i + 1 < argc)
-      args.max_drift_lag = std::strtod(argv[i + 1], nullptr);
-    if (std::strcmp(argv[i], "--min-refresh-recovery") == 0 && i + 1 < argc)
-      args.min_recovery = std::strtod(argv[i + 1], nullptr);
+    if (std::strcmp(argv[i], "--fraction-bits") == 0) {
+      const std::uint64_t bits = hmd::benchutil::parse_u64_flag(
+          "--fraction-bits",
+          hmd::benchutil::flag_value("--fraction-bits", argc, argv, i));
+      if (bits > 62) {
+        std::fprintf(stderr, "--fraction-bits must be at most 62\n");
+        std::exit(2);
+      }
+      args.fraction_bits = static_cast<int>(bits);
+    }
+    for (const auto& b : budgets)
+      if (std::strcmp(argv[i], b.flag) == 0)
+        *b.value = hmd::benchutil::parse_double_flag(
+            b.flag, hmd::benchutil::flag_value(b.flag, argc, argv, i));
   }
   return args;
 }
@@ -297,12 +309,9 @@ std::size_t lint_serving(const LintArgs& args) {
   sc.threads = args.config.threads;
   sc.record_verdicts = false;
   // Mild overload: steady-state admission at 90% of the offered load
-  // (bursting to one full tick), plus seeded stragglers with hedging —
-  // the scenario the budgets are meant to police.
+  // (bursting to one full tick) — the scenario the budgets police.
   sc.admit_per_tick = (fc.hosts * 9) / 10;
   sc.admit_burst = fc.hosts;
-  sc.straggler_rate = 0.05;
-  sc.straggler_reps = 2;
   const serve::ServeReport r = serve::run_fleet(fleet, sc);
 
   const double p99 = r.timing.e2e.p99();
@@ -379,12 +388,9 @@ CellVerdict lint_cell(const hmd::core::ExperimentContext& ctx,
   const ml::Dataset& test = projected.test;
 
   auto detector = ml::make_detector(kind, ensemble, ctx.config.model_seed);
-  const auto t0 = std::chrono::steady_clock::now();
+  const double t0 = benchutil::now_ms();
   detector->train(projected.train);
-  const double train_ms =
-      std::chrono::duration<double, std::milli>(
-          std::chrono::steady_clock::now() - t0)
-          .count();
+  const double train_ms = benchutil::now_ms() - t0;
 
   CellVerdict verdict;
   std::ostringstream detail;
@@ -406,13 +412,10 @@ CellVerdict lint_cell(const hmd::core::ExperimentContext& ctx,
   if (args.max_predict_us > 0.0 && test.num_rows() > 0) {
     const auto backend =
         ml::make_backend(*detector, ml::InferBackendKind::kFlat);
-    const auto p0 = std::chrono::steady_clock::now();
+    const double p0 = benchutil::now_ms();
     const auto scores = backend->predict_proba_batch(test);
-    const double predict_us =
-        std::chrono::duration<double, std::micro>(
-            std::chrono::steady_clock::now() - p0)
-            .count() /
-        static_cast<double>(scores.size());
+    const double predict_us = 1000.0 * (benchutil::now_ms() - p0) /
+                              static_cast<double>(scores.size());
     if (predict_us > args.max_predict_us) {
       ++verdict.warnings;
       std::fprintf(stderr,
