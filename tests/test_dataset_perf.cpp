@@ -20,7 +20,7 @@ namespace hmd::ml {
 namespace {
 
 /// Small dataset with duplicated feature values (ties) and non-unit
-/// weights — the regime where sweep order could diverge between paths.
+/// weights — the regime where a change of sweep order would show.
 Dataset tied_weighted(std::uint64_t seed) {
   Dataset base = testutil::gaussian_blobs(40, 2, 1, 1.5, seed);
   std::vector<std::string> names;
