@@ -8,11 +8,7 @@
 
 namespace hmd::analysis {
 
-FixedPointBackend::FixedPointBackend(const ml::Classifier& model,
-                                     int fraction_bits)
-    : FixedPointBackend(extract_ir(model), fraction_bits) {}
-
-FixedPointBackend::FixedPointBackend(ModelIr ir, int fraction_bits)
+FixedPointBackend::FixedPointBackend(ml::ModelIr ir, int fraction_bits)
     : ir_(std::move(ir)), bits_(fraction_bits) {
   HMD_REQUIRE(fraction_bits >= 0 && fraction_bits < 31);
 }

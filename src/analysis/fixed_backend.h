@@ -11,26 +11,24 @@
 // backend against the flat backend instead of walking both models row by
 // pointer-chasing row.
 //
-// It lives in src/analysis (not src/ml) because it is built from the
-// extracted ModelIr and the hls_checker arithmetic — the dependency points
-// analysis -> ml, never the reverse.
+// It lives in src/analysis (not src/ml) because it replays the hls_checker
+// arithmetic over an ml::ModelIr — the dependency points analysis -> ml,
+// never the reverse.
 #pragma once
 
 #include <string_view>
 
-#include "analysis/model_ir.h"
 #include "ml/infer.h"
+#include "ml/model_ir.h"
 
 namespace hmd::analysis {
 
 class FixedPointBackend final : public ml::InferenceBackend {
  public:
-  /// Extracts the model IR and simulates it at `fraction_bits` (the
-  /// HlsOptions Q format). Throws PreconditionError for models the HLS
-  /// generator cannot emit (MLP, BayesNet) — at predict time, matching
-  /// fixed_point_decide.
-  FixedPointBackend(const ml::Classifier& model, int fraction_bits);
-  FixedPointBackend(ModelIr ir, int fraction_bits);
+  /// Simulates `ir` at `fraction_bits` (the HlsOptions Q format). Throws
+  /// PreconditionError for structures the HLS generator cannot emit (MLP,
+  /// BayesNet) — at predict time, matching fixed_point_decide.
+  FixedPointBackend(ml::ModelIr ir, int fraction_bits);
 
   std::string_view name() const override { return "fixed"; }
 
@@ -43,7 +41,7 @@ class FixedPointBackend final : public ml::InferenceBackend {
   using ml::InferenceBackend::predict_proba_batch;  // Dataset overloads
 
  private:
-  ModelIr ir_;
+  ml::ModelIr ir_;
   int bits_;
 };
 

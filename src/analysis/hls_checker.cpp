@@ -220,7 +220,7 @@ class FixedPointRange {
   FixedPointRange(int fraction_bits, VerifyReport& report)
       : bits_(fraction_bits), report_(report) {}
 
-  void check(const ModelIr& ir, const std::string& ctx) {
+  void check(const ml::ModelIr& ir, const std::string& ctx) {
     std::visit([&](const auto& s) { walk(s, ctx); }, ir.structure);
   }
 
@@ -243,23 +243,23 @@ class FixedPointRange {
       flag(ctx, what, v, bits, limit);
   }
 
-  void walk(const TreeIr& tree, const std::string& ctx) {
+  void walk(const ml::TreeIr& tree, const std::string& ctx) {
     for (std::size_t i = 0; i < tree.nodes.size(); ++i)
       if (!tree.nodes[i].leaf)
         require_fits(ctx, "split threshold of node " + std::to_string(i),
                      tree.nodes[i].threshold, bits_);
   }
-  void walk(const RuleListIr& rules, const std::string& ctx) {
+  void walk(const ml::RuleListIr& rules, const std::string& ctx) {
     for (std::size_t r = 0; r < rules.rules.size(); ++r)
-      for (const RuleConditionIr& cond : rules.rules[r].conditions)
+      for (const ml::RuleConditionIr& cond : rules.rules[r].conditions)
         require_fits(ctx, "rule " + std::to_string(r) + " bound",
                      cond.value, bits_);
   }
-  void walk(const BucketRuleIr& rule, const std::string& ctx) {
+  void walk(const ml::BucketRuleIr& rule, const std::string& ctx) {
     for (double cut : rule.cuts)
       require_fits(ctx, "bucket boundary", cut, bits_);
   }
-  void walk(const LinearIr& linear, const std::string& ctx) {
+  void walk(const ml::LinearIr& linear, const std::string& ctx) {
     std::vector<double> slopes;
     double offset = linear.bias;
     for (std::size_t f = 0; f < linear.weights.size(); ++f) {
@@ -277,9 +277,9 @@ class FixedPointRange {
     // The offset initialises an int64 accumulator at input*slope scale.
     require_fits(ctx, "folded offset", offset, bits_ + sb, kInt64Max);
   }
-  void walk(const MlpIr&, const std::string&) {}
-  void walk(const BayesNetIr&, const std::string&) {}
-  void walk(const EnsembleIr& ens, const std::string& ctx) {
+  void walk(const ml::MlpIr&, const std::string&) {}
+  void walk(const ml::BayesNetIr&, const std::string&) {}
+  void walk(const ml::EnsembleIr& ens, const std::string& ctx) {
     for (std::size_t m = 0; m < ens.member_raw_weights.size(); ++m)
       require_fits(ctx, "vote weight of member " + std::to_string(m),
                    ens.member_raw_weights[m], bits_);
@@ -301,12 +301,12 @@ class FixedPointRange {
 // decide visitor mirrors the hard-decision helpers, the proba visitor the
 // Q(bits) probability helpers Bagging members use.
 
-long long fixed_proba(const ModelIr& ir, std::span<const std::int32_t> x,
+long long fixed_proba(const ml::ModelIr& ir, std::span<const std::int32_t> x,
                       int bits);
 
 /// The branch both visitors share: which bucket/leaf/rule the probe lands
 /// in. Returns the model-side P(malware) for that landing spot.
-double landed_proba(const BucketRuleIr& rule,
+double landed_proba(const ml::BucketRuleIr& rule,
                     std::span<const std::int32_t> x, int bits) {
   HMD_REQUIRE(rule.feature < x.size());
   HMD_REQUIRE(rule.proba.size() == rule.cuts.size() + 1);
@@ -317,13 +317,13 @@ double landed_proba(const BucketRuleIr& rule,
   return rule.proba.back();
 }
 
-double landed_proba(const TreeIr& tree, std::span<const std::int32_t> x,
+double landed_proba(const ml::TreeIr& tree, std::span<const std::int32_t> x,
                     int bits) {
   HMD_REQUIRE(!tree.nodes.empty());
   std::size_t n = 0;
   // Bounded walk exactly like the emitted loop: nodes.size() steps.
   for (std::size_t step = 0; step < tree.nodes.size(); ++step) {
-    const TreeNodeIr& node = tree.nodes[n];
+    const ml::TreeNodeIr& node = tree.nodes[n];
     if (node.leaf) return node.proba;
     HMD_REQUIRE(node.feature < x.size());
     HMD_REQUIRE(node.left < tree.nodes.size() &&
@@ -334,12 +334,12 @@ double landed_proba(const TreeIr& tree, std::span<const std::int32_t> x,
   return 0.0;
 }
 
-double landed_proba(const RuleListIr& rules,
+double landed_proba(const ml::RuleListIr& rules,
                     std::span<const std::int32_t> x, int bits) {
   const int fire = rules.target_class;
-  for (const RuleIr& rule : rules.rules) {
+  for (const ml::RuleIr& rule : rules.rules) {
     bool match = true;
-    for (const RuleConditionIr& cond : rule.conditions) {
+    for (const ml::RuleConditionIr& cond : rule.conditions) {
       HMD_REQUIRE(cond.feature < x.size());
       const long long bound = fx(cond.value, bits);
       if (cond.leq ? x[cond.feature] > bound : x[cond.feature] < bound) {
@@ -353,7 +353,7 @@ double landed_proba(const RuleListIr& rules,
 }
 
 /// Sign of the emitted linear accumulator (>= 0 means malware).
-bool linear_nonnegative(const LinearIr& linear,
+bool linear_nonnegative(const ml::LinearIr& linear,
                         std::span<const std::int32_t> x, int bits) {
   HMD_REQUIRE(linear.weights.size() <= x.size());
   HMD_REQUIRE(linear.mean.size() == linear.weights.size() &&
@@ -376,33 +376,33 @@ struct FixedDecide {
   std::span<const std::int32_t> x;
   int bits;
 
-  int operator()(const BucketRuleIr& rule) const {
+  int operator()(const ml::BucketRuleIr& rule) const {
     return landed_proba(rule, x, bits) >= 0.5 ? 1 : 0;
   }
-  int operator()(const TreeIr& tree) const {
+  int operator()(const ml::TreeIr& tree) const {
     return landed_proba(tree, x, bits) >= 0.5 ? 1 : 0;
   }
-  int operator()(const RuleListIr& rules) const {
+  int operator()(const ml::RuleListIr& rules) const {
     return landed_proba(rules, x, bits) >= 0.5 ? 1 : 0;
   }
-  int operator()(const LinearIr& linear) const {
+  int operator()(const ml::LinearIr& linear) const {
     return linear_nonnegative(linear, x, bits) ? 1 : 0;
   }
 
-  int operator()(const MlpIr&) const {
+  int operator()(const ml::MlpIr&) const {
     throw PreconditionError(
         "HLS differential check: MLP is not an HLS-supported structure");
   }
-  int operator()(const BayesNetIr&) const {
+  int operator()(const ml::BayesNetIr&) const {
     throw PreconditionError(
         "HLS differential check: BayesNet is not an HLS-supported "
         "structure");
   }
 
-  int operator()(const EnsembleIr& ens) const {
+  int operator()(const ml::EnsembleIr& ens) const {
     HMD_REQUIRE(!ens.members.empty());
     HMD_REQUIRE(ens.member_raw_weights.size() == ens.members.size());
-    if (ens.kind == EnsembleIr::Kind::kAdaBoost) {
+    if (ens.kind == ml::EnsembleIr::Kind::kAdaBoost) {
       long long vote = 0, total = 0;
       for (std::size_t m = 0; m < ens.members.size(); ++m) {
         const long long alpha = fx(ens.member_raw_weights[m], bits);
@@ -414,7 +414,7 @@ struct FixedDecide {
     // Bagging averages member probabilities, like Bagging::predict_proba
     // and the emitted acc-of-Q(bits)-probas helper.
     long long acc = 0;
-    for (const ModelIr& member : ens.members)
+    for (const ml::ModelIr& member : ens.members)
       acc += fixed_proba(member, x, bits);
     return 2 * acc >= (static_cast<long long>(ens.members.size()) << bits)
                ? 1
@@ -426,33 +426,33 @@ struct FixedProba {
   std::span<const std::int32_t> x;
   int bits;
 
-  long long operator()(const BucketRuleIr& rule) const {
+  long long operator()(const ml::BucketRuleIr& rule) const {
     return fx(landed_proba(rule, x, bits), bits);
   }
-  long long operator()(const TreeIr& tree) const {
+  long long operator()(const ml::TreeIr& tree) const {
     return fx(landed_proba(tree, x, bits), bits);
   }
-  long long operator()(const RuleListIr& rules) const {
+  long long operator()(const ml::RuleListIr& rules) const {
     return fx(landed_proba(rules, x, bits), bits);
   }
-  long long operator()(const LinearIr& linear) const {
+  long long operator()(const ml::LinearIr& linear) const {
     return linear_nonnegative(linear, x, bits) ? (1LL << bits) : 0;
   }
 
-  long long operator()(const MlpIr&) const {
+  long long operator()(const ml::MlpIr&) const {
     throw PreconditionError(
         "HLS differential check: MLP is not an HLS-supported structure");
   }
-  long long operator()(const BayesNetIr&) const {
+  long long operator()(const ml::BayesNetIr&) const {
     throw PreconditionError(
         "HLS differential check: BayesNet is not an HLS-supported "
         "structure");
   }
 
-  long long operator()(const EnsembleIr& ens) const {
+  long long operator()(const ml::EnsembleIr& ens) const {
     HMD_REQUIRE(!ens.members.empty());
     HMD_REQUIRE(ens.member_raw_weights.size() == ens.members.size());
-    if (ens.kind == EnsembleIr::Kind::kAdaBoost) {
+    if (ens.kind == ml::EnsembleIr::Kind::kAdaBoost) {
       long long vote = 0, total = 0;
       for (std::size_t m = 0; m < ens.members.size(); ++m) {
         const long long alpha = fx(ens.member_raw_weights[m], bits);
@@ -463,13 +463,13 @@ struct FixedProba {
       return (vote << bits) / total;
     }
     long long acc = 0;
-    for (const ModelIr& member : ens.members)
+    for (const ml::ModelIr& member : ens.members)
       acc += fixed_proba(member, x, bits);
     return acc / static_cast<long long>(ens.members.size());
   }
 };
 
-long long fixed_proba(const ModelIr& ir, std::span<const std::int32_t> x,
+long long fixed_proba(const ml::ModelIr& ir, std::span<const std::int32_t> x,
                       int bits) {
   return std::visit(FixedProba{x, bits}, ir.structure);
 }
@@ -495,7 +495,7 @@ VerifyReport lint_hls_code(const std::string& c_source,
   return report;
 }
 
-VerifyReport check_fixed_point_range(const ModelIr& ir, int fraction_bits) {
+VerifyReport check_fixed_point_range(const ml::ModelIr& ir, int fraction_bits) {
   HMD_REQUIRE(fraction_bits >= 0 && fraction_bits < 31);
   VerifyReport report;
   FixedPointRange checker(fraction_bits, report);
@@ -507,12 +507,13 @@ std::int32_t fixed_point_encode(double v, int fraction_bits) {
   return saturate_i32(fx(v, fraction_bits));
 }
 
-int fixed_point_decide(const ModelIr& ir, std::span<const std::int32_t> x,
+int fixed_point_decide(const ml::ModelIr& ir, std::span<const std::int32_t> x,
                        int fraction_bits) {
   return std::visit(FixedDecide{x, fraction_bits}, ir.structure);
 }
 
 DifferentialResult differential_check(const ml::Classifier& model,
+                                      const ml::ModelIr& ir,
                                       const ml::Dataset& probes,
                                       const DifferentialOptions& options) {
   HMD_REQUIRE_MSG(probes.num_rows() > 0,
@@ -522,7 +523,7 @@ DifferentialResult differential_check(const ml::Classifier& model,
   // ml/infer.h), the fixed backend bit-simulates the generated C. This
   // turned the lint's hottest loop from two pointer walks per probe row
   // into two contiguous batch sweeps.
-  const FixedPointBackend mirror(extract_ir(model), options.fraction_bits);
+  const FixedPointBackend mirror(ir, options.fraction_bits);
   const auto live = ml::make_backend(model, ml::InferBackendKind::kFlat);
   const std::vector<double> live_scores = live->predict_proba_batch(probes);
   const std::vector<double> mirror_scores =

@@ -28,9 +28,10 @@
 #include <cstddef>
 #include <string>
 
-#include "analysis/model_ir.h"
 #include "analysis/model_verifier.h"
+#include "ml/classifier.h"
 #include "ml/dataset.h"
+#include "ml/model_ir.h"
 
 namespace hmd::analysis {
 
@@ -47,7 +48,7 @@ VerifyReport lint_hls_code(const std::string& c_source,
 /// Verify every model constant the HLS generator quantizes fits int32 at
 /// `fraction_bits`. MLP/BayesNet structures yield no findings (the
 /// generator rejects them before emitting anything).
-VerifyReport check_fixed_point_range(const ModelIr& ir,
+VerifyReport check_fixed_point_range(const ml::ModelIr& ir,
                                      int fraction_bits = 8);
 
 struct DifferentialOptions {
@@ -79,13 +80,14 @@ std::int32_t fixed_point_encode(double v, int fraction_bits);
 /// directions, same vote arithmetic. Returns 1 for malware, 0 for benign.
 /// Throws PreconditionError for structures the generator cannot emit
 /// (MLP, BayesNet).
-int fixed_point_decide(const ModelIr& ir, std::span<const std::int32_t> x,
+int fixed_point_decide(const ml::ModelIr& ir, std::span<const std::int32_t> x,
                        int fraction_bits);
 
-/// Compare the fixed-point mirror against the live model over the rows of
-/// `probes`. Throws PreconditionError when the model is untrained, not
-/// HLS-supported, or `probes` is empty.
+/// Compare the fixed-point mirror of `ir` (ml::extract_ir(model)) against
+/// the live model over the rows of `probes`. Throws PreconditionError when
+/// `ir` is not HLS-supported or `probes` is empty.
 DifferentialResult differential_check(const ml::Classifier& model,
+                                      const ml::ModelIr& ir,
                                       const ml::Dataset& probes,
                                       const DifferentialOptions& options = {});
 

@@ -33,17 +33,6 @@ std::string VerifyReport::to_string() const {
 
 namespace {
 
-/// Depth of a balanced binary reduction over n operands, in stages.
-std::size_t reduction_depth(std::size_t n) {
-  std::size_t d = 0;
-  n = std::max<std::size_t>(n, 1);
-  while (n > 1) {
-    n = (n + 1) / 2;
-    ++d;
-  }
-  return d;
-}
-
 bool finite(double v) { return std::isfinite(v); }
 
 bool valid_proba(double v) { return finite(v) && v >= 0.0 && v <= 1.0; }
@@ -54,7 +43,7 @@ class Verifier {
 
   VerifyReport take_report() { return std::move(report_); }
 
-  void verify(const ModelIr& ir, const std::string& context) {
+  void verify(const ml::ModelIr& ir, const std::string& context) {
     std::visit([&](const auto& s) { check_structure(s, context); },
                ir.structure);
     if (options_.check_complexity) check_complexity(ir, context);
@@ -78,7 +67,7 @@ class Verifier {
 
   // ---- tree ----------------------------------------------------------
 
-  void check_structure(const TreeIr& tree, const std::string& ctx) {
+  void check_structure(const ml::TreeIr& tree, const std::string& ctx) {
     const std::size_t n = tree.nodes.size();
     if (n == 0) {
       error("tree-empty", ctx, "tree has no nodes");
@@ -87,7 +76,7 @@ class Verifier {
 
     std::vector<std::size_t> indegree(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
-      const TreeNodeIr& node = tree.nodes[i];
+      const ml::TreeNodeIr& node = tree.nodes[i];
       if (node.leaf) {
         if (!valid_proba(node.proba))
           error("tree-leaf-proba", ctx,
@@ -136,7 +125,7 @@ class Verifier {
 
   // ---- rule list (JRip) ----------------------------------------------
 
-  void check_structure(const RuleListIr& rules, const std::string& ctx) {
+  void check_structure(const ml::RuleListIr& rules, const std::string& ctx) {
     if (rules.target_class != 0 && rules.target_class != 1)
       error("rule-target", ctx,
             "target class " + std::to_string(rules.target_class) +
@@ -148,7 +137,7 @@ class Verifier {
                 "whole input space");
 
     for (std::size_t r = 0; r < rules.rules.size(); ++r) {
-      const RuleIr& rule = rules.rules[r];
+      const ml::RuleIr& rule = rules.rules[r];
       const std::string where = "rule " + std::to_string(r);
       if (!valid_proba(rule.precision))
         error("rule-precision", ctx,
@@ -158,7 +147,7 @@ class Verifier {
       // Per-feature interval intersection: a conjunction is satisfiable
       // iff every feature's lower bound stays below its upper bound.
       std::map<std::size_t, std::pair<double, double>> bounds;  // lo, hi
-      for (const RuleConditionIr& cond : rule.conditions) {
+      for (const ml::RuleConditionIr& cond : rule.conditions) {
         if (!finite(cond.value)) {
           error("rule-value", ctx,
                 where + " has a non-finite condition value on feature " +
@@ -193,7 +182,7 @@ class Verifier {
 
   // ---- bucket rule (OneR) --------------------------------------------
 
-  void check_structure(const BucketRuleIr& rule, const std::string& ctx) {
+  void check_structure(const ml::BucketRuleIr& rule, const std::string& ctx) {
     if (rule.proba.size() != rule.cuts.size() + 1)
       error("bucket-shape", ctx,
             std::to_string(rule.cuts.size()) + " cuts require " +
@@ -221,7 +210,7 @@ class Verifier {
 
   // ---- linear (SGD / SMO) --------------------------------------------
 
-  void check_structure(const LinearIr& linear, const std::string& ctx) {
+  void check_structure(const ml::LinearIr& linear, const std::string& ctx) {
     const std::size_t nf = linear.weights.size();
     if (linear.mean.size() != nf || linear.stdev.size() != nf) {
       error("linear-shape", ctx,
@@ -257,7 +246,7 @@ class Verifier {
 
   // ---- MLP -----------------------------------------------------------
 
-  void check_structure(const MlpIr& mlp, const std::string& ctx) {
+  void check_structure(const ml::MlpIr& mlp, const std::string& ctx) {
     if (mlp.w1.size() != mlp.hidden * mlp.inputs ||
         mlp.b1.size() != mlp.hidden || mlp.w2.size() != mlp.hidden ||
         mlp.mean.size() != mlp.inputs || mlp.stdev.size() != mlp.inputs) {
@@ -285,7 +274,7 @@ class Verifier {
 
   // ---- BayesNet ------------------------------------------------------
 
-  void check_structure(const BayesNetIr& bn, const std::string& ctx) {
+  void check_structure(const ml::BayesNetIr& bn, const std::string& ctx) {
     const double prior_sum =
         std::exp(bn.log_prior[0]) + std::exp(bn.log_prior[1]);
     if (!finite(bn.log_prior[0]) || !finite(bn.log_prior[1]) ||
@@ -296,7 +285,7 @@ class Verifier {
 
     const std::size_t na = bn.cpts.size();
     for (std::size_t f = 0; f < na; ++f) {
-      const CptIr& cpt = bn.cpts[f];
+      const ml::CptIr& cpt = bn.cpts[f];
       const std::string where = "attribute " + std::to_string(f);
 
       for (std::size_t i = 0; i < cpt.cuts.size(); ++i)
@@ -306,7 +295,7 @@ class Verifier {
                 where + " discretizer boundaries are not finite strictly "
                         "ascending");
 
-      if (cpt.parent != CptIr::kNoParent && (cpt.parent >= na ||
+      if (cpt.parent != ml::CptIr::kNoParent && (cpt.parent >= na ||
                                              cpt.parent == f)) {
         error("bayes-parent", ctx,
               where + " has an invalid parent index " +
@@ -315,7 +304,7 @@ class Verifier {
       }
 
       const std::size_t bins = cpt.cuts.size() + 1;
-      const std::size_t pbins = cpt.parent == CptIr::kNoParent
+      const std::size_t pbins = cpt.parent == ml::CptIr::kNoParent
                                     ? 1
                                     : bn.cpts[cpt.parent].cuts.size() + 1;
       bool shape_ok = cpt.log_prob.size() == 2;
@@ -360,7 +349,7 @@ class Verifier {
     for (std::size_t f = 0; f < na; ++f) {
       std::set<std::size_t> seen{f};
       std::size_t cur = f;
-      while (cur < na && bn.cpts[cur].parent != CptIr::kNoParent) {
+      while (cur < na && bn.cpts[cur].parent != ml::CptIr::kNoParent) {
         cur = bn.cpts[cur].parent;
         if (cur >= na) break;  // already reported as bayes-parent
         if (!seen.insert(cur).second) {
@@ -375,7 +364,7 @@ class Verifier {
 
   // ---- ensembles -----------------------------------------------------
 
-  void check_structure(const EnsembleIr& ens, const std::string& ctx) {
+  void check_structure(const ml::EnsembleIr& ens, const std::string& ctx) {
     if (ens.members.empty()) {
       error("ensemble-empty", ctx, "ensemble has no members");
       return;
@@ -414,7 +403,7 @@ class Verifier {
 
   // ---- complexity cross-check ----------------------------------------
 
-  void check_complexity(const ModelIr& ir, const std::string& ctx) {
+  void check_complexity(const ml::ModelIr& ir, const std::string& ctx) {
     const ml::ModelComplexity expected = expected_complexity(ir);
     const ml::ModelComplexity& reported = ir.reported;
 
@@ -449,7 +438,7 @@ class Verifier {
 };
 
 struct ExpectedComplexity {
-  ml::ModelComplexity operator()(const TreeIr& tree) const {
+  ml::ModelComplexity operator()(const ml::TreeIr& tree) const {
     ml::ModelComplexity mc;
     mc.kind = "tree";
     if (tree.nodes.empty()) return mc;
@@ -465,7 +454,7 @@ struct ExpectedComplexity {
       if (idx >= tree.nodes.size() || visited[idx]) continue;
       visited[idx] = true;
       depth = std::max(depth, level);
-      const TreeNodeIr& node = tree.nodes[idx];
+      const ml::TreeNodeIr& node = tree.nodes[idx];
       if (node.leaf) {
         ++leaves;
         continue;
@@ -482,13 +471,13 @@ struct ExpectedComplexity {
     return mc;
   }
 
-  ml::ModelComplexity operator()(const RuleListIr& rules) const {
+  ml::ModelComplexity operator()(const ml::RuleListIr& rules) const {
     ml::ModelComplexity mc;
     mc.kind = "rules";
     std::set<std::size_t> features;
-    for (const RuleIr& rule : rules.rules) {
+    for (const ml::RuleIr& rule : rules.rules) {
       mc.comparators += rule.conditions.size();
-      for (const RuleConditionIr& c : rule.conditions)
+      for (const ml::RuleConditionIr& c : rule.conditions)
         features.insert(c.feature);
     }
     mc.table_entries = rules.rules.size() + 1;
@@ -497,7 +486,7 @@ struct ExpectedComplexity {
     return mc;
   }
 
-  ml::ModelComplexity operator()(const BucketRuleIr& rule) const {
+  ml::ModelComplexity operator()(const ml::BucketRuleIr& rule) const {
     ml::ModelComplexity mc;
     mc.kind = "rules";
     mc.comparators = rule.cuts.size();
@@ -507,71 +496,72 @@ struct ExpectedComplexity {
     return mc;
   }
 
-  ml::ModelComplexity operator()(const LinearIr& linear) const {
+  ml::ModelComplexity operator()(const ml::LinearIr& linear) const {
     ml::ModelComplexity mc;
     mc.kind = "linear";
     const std::size_t nf = linear.weights.size();
     mc.multipliers = nf;
     mc.adders = nf;
     mc.comparators = 1;
-    mc.depth = reduction_depth(nf) + 2;
+    mc.depth = ml::reduction_depth(nf) + 2;
     mc.inputs = nf;
     return mc;
   }
 
-  ml::ModelComplexity operator()(const MlpIr& mlp) const {
+  ml::ModelComplexity operator()(const ml::MlpIr& mlp) const {
     ml::ModelComplexity mc;
     mc.kind = "mlp";
     mc.multipliers = mlp.hidden * mlp.inputs + mlp.hidden;
     mc.adders = mlp.hidden * mlp.inputs + mlp.hidden + mlp.hidden + 1;
     mc.nonlinearities = mlp.hidden + 1;
-    mc.depth = reduction_depth(mlp.inputs) + reduction_depth(mlp.hidden) + 4;
+    mc.depth =
+        ml::reduction_depth(mlp.inputs) + ml::reduction_depth(mlp.hidden) + 4;
     mc.inputs = mlp.inputs;
     return mc;
   }
 
-  ml::ModelComplexity operator()(const BayesNetIr& bn) const {
+  ml::ModelComplexity operator()(const ml::BayesNetIr& bn) const {
     ml::ModelComplexity mc;
     mc.kind = "bayes";
     mc.inputs = bn.cpts.size();
-    for (const CptIr& cpt : bn.cpts) {
+    for (const ml::CptIr& cpt : bn.cpts) {
       mc.comparators += cpt.cuts.size();
-      const std::size_t pbins = cpt.parent == CptIr::kNoParent ||
+      const std::size_t pbins = cpt.parent == ml::CptIr::kNoParent ||
                                         cpt.parent >= bn.cpts.size()
                                     ? 1
                                     : bn.cpts[cpt.parent].cuts.size() + 1;
       mc.table_entries += 2 * pbins * (cpt.cuts.size() + 1);
       mc.adders += 2;
     }
-    mc.depth = reduction_depth(bn.cpts.size()) + 2;
+    mc.depth = ml::reduction_depth(bn.cpts.size()) + 2;
     return mc;
   }
 
-  ml::ModelComplexity operator()(const EnsembleIr& ens) const {
+  ml::ModelComplexity operator()(const ml::EnsembleIr& ens) const {
     ml::ModelComplexity mc;
     mc.kind = "ensemble";
     const std::size_t n = ens.members.size();
-    if (ens.kind == EnsembleIr::Kind::kAdaBoost) mc.multipliers = n;
+    if (ens.kind == ml::EnsembleIr::Kind::kAdaBoost) mc.multipliers = n;
     mc.adders = n;
     mc.comparators = 1;
     std::size_t max_child_depth = 0;
-    for (const ModelIr& member : ens.members) {
+    for (const ml::ModelIr& member : ens.members) {
       mc.children.push_back(expected_complexity(member));
       mc.inputs = std::max(mc.inputs, mc.children.back().inputs);
       max_child_depth = std::max(max_child_depth, mc.children.back().depth);
     }
-    mc.depth = max_child_depth + reduction_depth(n) + 1;
+    mc.depth = max_child_depth + ml::reduction_depth(n) + 1;
     return mc;
   }
 };
 
 }  // namespace
 
-ml::ModelComplexity expected_complexity(const ModelIr& ir) {
+ml::ModelComplexity expected_complexity(const ml::ModelIr& ir) {
   return std::visit(ExpectedComplexity{}, ir.structure);
 }
 
-VerifyReport verify_ir(const ModelIr& ir, const VerifyOptions& options) {
+VerifyReport verify_ir(const ml::ModelIr& ir, const VerifyOptions& options) {
   Verifier verifier(options);
   verifier.verify(ir, /*context=*/"");
   return verifier.take_report();
@@ -579,10 +569,7 @@ VerifyReport verify_ir(const ModelIr& ir, const VerifyOptions& options) {
 
 VerifyReport verify_model(const ml::Classifier& model,
                           const VerifyOptions& options) {
-  HMD_REQUIRE_MSG(ir_supported(model),
-                  "model verification does not support model: " +
-                      model.name());
-  return verify_ir(extract_ir(model), options);
+  return verify_ir(ml::extract_ir(model), options);
 }
 
 }  // namespace hmd::analysis

@@ -34,7 +34,8 @@
 #include <string>
 #include <vector>
 
-#include "analysis/model_ir.h"
+#include "ml/classifier.h"
+#include "ml/model_ir.h"
 
 namespace hmd::analysis {
 
@@ -72,16 +73,17 @@ struct VerifyOptions {
 
 /// Verify hand-built or extracted IR. `ir.reported` is only consulted when
 /// options.check_complexity is set.
-VerifyReport verify_ir(const ModelIr& ir, const VerifyOptions& options = {});
+VerifyReport verify_ir(const ml::ModelIr& ir,
+                       const VerifyOptions& options = {});
 
-/// Convenience: extract_ir() + verify_ir() for a trained classifier.
-/// Throws PreconditionError for untrained or unsupported models.
+/// Convenience: ml::extract_ir() + verify_ir() for a trained classifier.
+/// Throws PreconditionError for models without structure (untrained).
 VerifyReport verify_model(const ml::Classifier& model,
                           const VerifyOptions& options = {});
 
 /// Recompute the hardware-costing complexity from the structure alone,
 /// mirroring the documented per-family rules. Exposed so tests and the
 /// drift check share one implementation.
-ml::ModelComplexity expected_complexity(const ModelIr& ir);
+ml::ModelComplexity expected_complexity(const ml::ModelIr& ir);
 
 }  // namespace hmd::analysis

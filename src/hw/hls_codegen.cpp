@@ -4,16 +4,9 @@
 #include <cmath>
 #include <ostream>
 #include <sstream>
+#include <variant>
 #include <vector>
 
-#include "ml/adaboost.h"
-#include "ml/bagging.h"
-#include "ml/j48.h"
-#include "ml/jrip.h"
-#include "ml/oner.h"
-#include "ml/reptree.h"
-#include "ml/sgd.h"
-#include "ml/smo.h"
 #include "support/check.h"
 
 namespace hmd::hw {
@@ -28,54 +21,54 @@ long long fx(double v, int fraction_bits) {
 struct Emitter {
   std::ostream& os;
   const HlsOptions& opt;
-  std::size_t num_inputs;
   int next_id = 0;
 
   std::string fresh(const char* stem) {
     return std::string(stem) + "_" + std::to_string(next_id++);
   }
 
-  /// Emit a helper returning the model's hard {0,1} decision into
-  /// `int <name>(const int32_t x[])`; returns the helper's name.
-  std::string emit_model(const ml::Classifier& model);
-
-  /// Emit a helper returning P(malware) in Q(fraction_bits) fixed point —
+  /// Emit a helper `int <name>(const int32_t x[])` for `ir` and return its
+  /// name. With `proba` unset it returns the hard {0,1} decision; with
+  /// `proba` set it returns P(malware) in Q(fraction_bits) fixed point —
   /// what Bagging members must expose so the ensemble can average
   /// probabilities exactly like Bagging::predict_proba().
-  std::string emit_model_proba(const ml::Classifier& model);
+  std::string emit(const ml::ModelIr& ir, bool proba) {
+    return std::visit([&](const auto& s) { return emit(s, proba); },
+                      ir.structure);
+  }
 
-  std::string emit_oner(const ml::OneR& oner, bool proba);
-  template <typename Tree>
-  std::string emit_tree(const Tree& tree, bool proba);
-  std::string emit_jrip(const ml::JRip& jrip, bool proba);
-  template <typename Linear>
-  std::string emit_linear(const Linear& linear, bool proba);
-  std::string emit_adaboost(const ml::AdaBoostM1& boost, bool proba);
-  std::string emit_bagging(const ml::Bagging& bag, bool proba);
+  std::string emit(const ml::BucketRuleIr& rule, bool proba);
+  std::string emit(const ml::TreeIr& tree, bool proba);
+  std::string emit(const ml::RuleListIr& list, bool proba);
+  std::string emit(const ml::LinearIr& linear, bool proba);
+  std::string emit(const ml::EnsembleIr& ens, bool proba);
+  /// MLP and BayesNet: hls_supported() rejects them before emission.
+  template <typename Unsupported>
+  std::string emit(const Unsupported&, bool) {
+    throw PreconditionError(
+        "HLS codegen does not support MLP or BayesNet structures");
+  }
 };
 
-std::string Emitter::emit_oner(const ml::OneR& oner, bool proba) {
+std::string Emitter::emit(const ml::BucketRuleIr& rule, bool proba) {
   const std::string name = fresh("oner");
   os << "static int " << name << "(const int32_t x[]) {\n"
-     << "  const int32_t v = x[" << oner.chosen_feature() << "];\n";
-  const auto& cuts = oner.bucket_cuts();
-  const auto& probs = oner.bucket_proba();
+     << "  const int32_t v = x[" << rule.feature << "];\n";
   const auto bucket_value = [&](double p) {
     return proba ? fx(p, opt.fraction_bits) : (p >= 0.5 ? 1LL : 0LL);
   };
   // Cascaded compares; strictly-below matches OneR's upper_bound bucket
   // assignment (a value equal to a boundary belongs to the bucket above).
-  for (std::size_t b = 0; b < cuts.size(); ++b)
-    os << "  if (v < " << fx(cuts[b], opt.fraction_bits) << "LL) return "
-       << bucket_value(probs[b]) << ";\n";
-  os << "  return " << bucket_value(probs.back()) << ";\n}\n\n";
+  for (std::size_t b = 0; b < rule.cuts.size(); ++b)
+    os << "  if (v < " << fx(rule.cuts[b], opt.fraction_bits)
+       << "LL) return " << bucket_value(rule.proba[b]) << ";\n";
+  os << "  return " << bucket_value(rule.proba.back()) << ";\n}\n\n";
   return name;
 }
 
-template <typename Tree>
-std::string Emitter::emit_tree(const Tree& tree, bool proba) {
+std::string Emitter::emit(const ml::TreeIr& tree, bool proba) {
   const std::string name = fresh("tree");
-  const auto nodes = tree.flatten();
+  const std::vector<ml::TreeNodeIr>& nodes = tree.nodes;
   // Iterative node walk (HLS-friendly: bounded loop, no recursion).
   os << "static int " << name << "(const int32_t x[]) {\n"
      << "  static const int32_t thr[" << nodes.size() << "] = {";
@@ -114,41 +107,39 @@ std::string Emitter::emit_tree(const Tree& tree, bool proba) {
   return name;
 }
 
-std::string Emitter::emit_jrip(const ml::JRip& jrip, bool proba) {
+std::string Emitter::emit(const ml::RuleListIr& list, bool proba) {
   const std::string name = fresh("jrip");
   os << "static int " << name << "(const int32_t x[]) {\n";
-  const int fire = jrip.target_class();
   const auto outcome = [&](double p_malware) {
     return proba ? fx(p_malware, opt.fraction_bits)
                  : (p_malware >= 0.5 ? 1LL : 0LL);
   };
-  for (const auto& rule : jrip.rules()) {
+  for (const ml::RuleIr& rule : list.rules) {
     os << "  if (1";
-    for (const auto& cond : rule.conditions)
+    for (const ml::RuleConditionIr& cond : rule.conditions)
       os << " && x[" << cond.feature << "] " << (cond.leq ? "<=" : ">=")
          << " " << fx(cond.value, opt.fraction_bits) << "LL";
     os << ") return "
-       << outcome(fire == 1 ? rule.precision : 1.0 - rule.precision) << ";\n";
+       << outcome(list.target_class == 1 ? rule.precision
+                                         : 1.0 - rule.precision)
+       << ";\n";
   }
-  os << "  return " << outcome(jrip.default_proba())
+  os << "  return " << outcome(list.default_proba)
      << ";  /* default class */\n"
      << "}\n\n";
   return name;
 }
 
-template <typename Linear>
-std::string Emitter::emit_linear(const Linear& linear, bool proba) {
+std::string Emitter::emit(const ml::LinearIr& linear, bool proba) {
   const std::string name = fresh("linear");
   // Fold the standardization into per-feature slope and a global offset:
   // margin = sum_f (w_f / sd_f) * x_f + (b - sum_f w_f * mu_f / sd_f).
-  const auto& w = linear.weights();
-  const auto& mu = linear.input_mean();
-  const auto& sd = linear.input_stdev();
+  const std::vector<double>& w = linear.weights;
   std::vector<double> slopes(w.size());
-  double offset = linear.bias();
+  double offset = linear.bias;
   for (std::size_t f = 0; f < w.size(); ++f) {
-    slopes[f] = w[f] / sd[f];
-    offset -= w[f] * mu[f] / sd[f];
+    slopes[f] = w[f] / linear.stdev[f];
+    offset -= w[f] * linear.mean[f] / linear.stdev[f];
   }
   // Standardized slopes on raw HPC counts are tiny; quantizing them at the
   // input scale would underflow every coefficient to zero, so the slopes
@@ -172,39 +163,40 @@ std::string Emitter::emit_linear(const Linear& linear, bool proba) {
   return name;
 }
 
-std::string Emitter::emit_adaboost(const ml::AdaBoostM1& boost, bool proba) {
-  std::vector<std::string> members;
-  std::vector<long long> alphas;
-  for (std::size_t m = 0; m < boost.num_members(); ++m) {
-    members.push_back(emit_model(boost.member(m)));
-    alphas.push_back(fx(boost.member_alpha(m), opt.fraction_bits));
+std::string Emitter::emit(const ml::EnsembleIr& ens, bool proba) {
+  const std::size_t n = ens.members.size();
+  if (ens.kind == ml::EnsembleIr::Kind::kAdaBoost) {
+    std::vector<std::string> members;
+    std::vector<long long> alphas;
+    for (std::size_t m = 0; m < n; ++m) {
+      members.push_back(emit(ens.members[m], /*proba=*/false));
+      alphas.push_back(fx(ens.member_raw_weights[m], opt.fraction_bits));
+    }
+    long long total = 0;
+    for (long long a : alphas) total += a;
+    const std::string name = fresh("adaboost");
+    os << "static int " << name << "(const int32_t x[]) {\n"
+       << "  int64_t vote = 0;\n";
+    for (std::size_t m = 0; m < n; ++m)
+      os << "  if (" << members[m] << "(x)) vote += " << alphas[m]
+         << "LL;\n";
+    if (proba && total > 0)
+      os << "  return (int)((vote << " << opt.fraction_bits << ") / "
+         << total << "LL);\n}\n\n";
+    else if (proba)
+      os << "  return " << (1LL << (opt.fraction_bits - 1))
+         << ";  /* no informative members */\n}\n\n";
+    else
+      os << "  return 2 * vote >= " << total << "LL ? 1 : 0;\n}\n\n";
+    return name;
   }
-  long long total = 0;
-  for (long long a : alphas) total += a;
-  const std::string name = fresh("adaboost");
-  os << "static int " << name << "(const int32_t x[]) {\n"
-     << "  int64_t vote = 0;\n";
-  for (std::size_t m = 0; m < members.size(); ++m)
-    os << "  if (" << members[m] << "(x)) vote += " << alphas[m] << "LL;\n";
-  if (proba && total > 0)
-    os << "  return (int)((vote << " << opt.fraction_bits << ") / " << total
-       << "LL);\n}\n\n";
-  else if (proba)
-    os << "  return " << (1LL << (opt.fraction_bits - 1))
-       << ";  /* no informative members */\n}\n\n";
-  else
-    os << "  return 2 * vote >= " << total << "LL ? 1 : 0;\n}\n\n";
-  return name;
-}
-
-std::string Emitter::emit_bagging(const ml::Bagging& bag, bool proba) {
   // Bagging averages member *probabilities* (Bagging::predict_proba), so
   // members are emitted in their Q(fraction_bits) probability form rather
   // than as hard votes.
   std::vector<std::string> members;
-  for (std::size_t m = 0; m < bag.num_members(); ++m)
-    members.push_back(emit_model_proba(bag.member(m)));
-  const auto n = static_cast<long long>(members.size());
+  for (const ml::ModelIr& member : ens.members)
+    members.push_back(emit(member, /*proba=*/true));
+  const auto count = static_cast<long long>(n);
   const std::string name = fresh("bagging");
   os << "static int " << name << "(const int32_t x[]) {\n"
      << "  int64_t acc = 0;  /* sum of member P(malware), Q"
@@ -212,54 +204,26 @@ std::string Emitter::emit_bagging(const ml::Bagging& bag, bool proba) {
   for (const auto& member : members)
     os << "  acc += " << member << "(x);\n";
   if (proba)
-    os << "  return (int)(acc / " << n << "LL);\n}\n\n";
+    os << "  return (int)(acc / " << count << "LL);\n}\n\n";
   else
-    os << "  return 2 * acc >= " << (n << opt.fraction_bits)
+    os << "  return 2 * acc >= " << (count << opt.fraction_bits)
        << "LL ? 1 : 0;\n}\n\n";
   return name;
 }
 
-std::string Emitter::emit_model(const ml::Classifier& model) {
-  if (const auto* oner = dynamic_cast<const ml::OneR*>(&model))
-    return emit_oner(*oner, /*proba=*/false);
-  if (const auto* j48 = dynamic_cast<const ml::J48*>(&model))
-    return emit_tree(*j48, /*proba=*/false);
-  if (const auto* rep = dynamic_cast<const ml::RepTree*>(&model))
-    return emit_tree(*rep, /*proba=*/false);
-  if (const auto* jrip = dynamic_cast<const ml::JRip*>(&model))
-    return emit_jrip(*jrip, /*proba=*/false);
-  if (const auto* sgd = dynamic_cast<const ml::Sgd*>(&model))
-    return emit_linear(*sgd, /*proba=*/false);
-  if (const auto* smo = dynamic_cast<const ml::Smo*>(&model))
-    return emit_linear(*smo, /*proba=*/false);
-  if (const auto* boost = dynamic_cast<const ml::AdaBoostM1*>(&model))
-    return emit_adaboost(*boost, /*proba=*/false);
-  if (const auto* bag = dynamic_cast<const ml::Bagging*>(&model))
-    return emit_bagging(*bag, /*proba=*/false);
-  throw PreconditionError("HLS codegen does not support model: " +
-                          model.name());
-}
-
-std::string Emitter::emit_model_proba(const ml::Classifier& model) {
-  if (const auto* oner = dynamic_cast<const ml::OneR*>(&model))
-    return emit_oner(*oner, /*proba=*/true);
-  if (const auto* j48 = dynamic_cast<const ml::J48*>(&model))
-    return emit_tree(*j48, /*proba=*/true);
-  if (const auto* rep = dynamic_cast<const ml::RepTree*>(&model))
-    return emit_tree(*rep, /*proba=*/true);
-  if (const auto* jrip = dynamic_cast<const ml::JRip*>(&model))
-    return emit_jrip(*jrip, /*proba=*/true);
-  if (const auto* sgd = dynamic_cast<const ml::Sgd*>(&model))
-    return emit_linear(*sgd, /*proba=*/true);
-  if (const auto* smo = dynamic_cast<const ml::Smo*>(&model))
-    return emit_linear(*smo, /*proba=*/true);
-  if (const auto* boost = dynamic_cast<const ml::AdaBoostM1*>(&model))
-    return emit_adaboost(*boost, /*proba=*/true);
-  if (const auto* bag = dynamic_cast<const ml::Bagging*>(&model))
-    return emit_bagging(*bag, /*proba=*/true);
-  throw PreconditionError("HLS codegen does not support model: " +
-                          model.name());
-}
+/// Whether the generator can emit a structure: anything but MLP and
+/// BayesNet, with every ensemble non-empty and every member emittable.
+struct Supported {
+  bool operator()(const ml::EnsembleIr& ens) const {
+    if (ens.members.empty()) return false;
+    for (const ml::ModelIr& member : ens.members)
+      if (!std::visit(*this, member.structure)) return false;
+    return true;
+  }
+  bool operator()(const ml::MlpIr&) const { return false; }
+  bool operator()(const ml::BayesNetIr&) const { return false; }
+  bool operator()(const auto&) const { return true; }
+};
 
 }  // namespace
 
@@ -282,35 +246,23 @@ int linear_fixed_point_bits(std::span<const double> slopes, double offset,
   return bits;
 }
 
-bool hls_supported(const ml::Classifier& model) {
-  if (dynamic_cast<const ml::OneR*>(&model) != nullptr) return true;
-  if (dynamic_cast<const ml::J48*>(&model) != nullptr) return true;
-  if (dynamic_cast<const ml::RepTree*>(&model) != nullptr) return true;
-  if (dynamic_cast<const ml::JRip*>(&model) != nullptr) return true;
-  if (dynamic_cast<const ml::Sgd*>(&model) != nullptr) return true;
-  if (dynamic_cast<const ml::Smo*>(&model) != nullptr) return true;
-  if (const auto* boost = dynamic_cast<const ml::AdaBoostM1*>(&model)) {
-    return boost->num_members() == 0 || hls_supported(boost->member(0));
-  }
-  if (const auto* bag = dynamic_cast<const ml::Bagging*>(&model)) {
-    return bag->num_members() == 0 || hls_supported(bag->member(0));
-  }
-  return false;
+bool hls_supported(const ml::ModelIr& ir) {
+  return std::visit(Supported{}, ir.structure);
 }
 
-void generate_hls_c(std::ostream& os, const ml::Classifier& model,
+void generate_hls_c(std::ostream& os, const ml::ModelIr& ir,
                     std::size_t num_inputs, const HlsOptions& options) {
   HMD_REQUIRE(num_inputs >= 1);
-  HMD_REQUIRE_MSG(hls_supported(model),
-                  "HLS codegen does not support model: " + model.name());
+  HMD_REQUIRE_MSG(hls_supported(ir),
+                  "HLS codegen does not support model: " + ir.name);
 
   // The generated file is self-contained C99.
   std::ostringstream body;
-  Emitter emitter{body, options, num_inputs};
-  const std::string top = emitter.emit_model(model);
+  Emitter emitter{body, options};
+  const std::string top = emitter.emit(ir, /*proba=*/false);
 
   os << "/* Generated by hmd (DAC'18 HMD reproduction).\n"
-     << " * Model: " << model.name() << "; inputs: " << num_inputs
+     << " * Model: " << ir.name << "; inputs: " << num_inputs
      << " HPC counters, Q" << (32 - options.fraction_bits) << "."
      << options.fraction_bits << " fixed point.\n"
      << " * int " << options.function_name

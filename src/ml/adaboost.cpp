@@ -130,13 +130,12 @@ ModelComplexity AdaBoostM1::complexity() const {
   std::size_t max_child_depth = 0;
   for (const auto& c : mc.children)
     max_child_depth = std::max(max_child_depth, c.depth);
-  std::size_t d = 0, n = std::max<std::size_t>(members_.size(), 1);
-  while (n > 1) {
-    n = (n + 1) / 2;
-    ++d;
-  }
-  mc.depth = max_child_depth + d + 1;
+  mc.depth = max_child_depth + reduction_depth(members_.size()) + 1;
   return mc;
+}
+
+std::optional<ModelStructure> AdaBoostM1::trained_structure() const {
+  return ensemble_structure(EnsembleIr::Kind::kAdaBoost, members_, alpha_);
 }
 
 }  // namespace hmd::ml

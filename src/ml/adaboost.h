@@ -38,6 +38,8 @@ class AdaBoostM1 final : public Classifier {
   std::unique_ptr<Classifier> clone_untrained() const override;
   std::string name() const override;
   ModelComplexity complexity() const override;
+  /// A kAdaBoost EnsembleIr whose raw member weights are the alphas.
+  std::optional<ModelStructure> trained_structure() const override;
 
   std::size_t num_members() const { return members_.size(); }
   const Classifier& member(std::size_t i) const { return *members_[i]; }

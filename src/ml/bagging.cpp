@@ -77,13 +77,13 @@ ModelComplexity Bagging::complexity() const {
   std::size_t max_child_depth = 0;
   for (const auto& c : mc.children)
     max_child_depth = std::max(max_child_depth, c.depth);
-  std::size_t d = 0, n = std::max<std::size_t>(members_.size(), 1);
-  while (n > 1) {
-    n = (n + 1) / 2;
-    ++d;
-  }
-  mc.depth = max_child_depth + d + 1;
+  mc.depth = max_child_depth + reduction_depth(members_.size()) + 1;
   return mc;
+}
+
+std::optional<ModelStructure> Bagging::trained_structure() const {
+  return ensemble_structure(EnsembleIr::Kind::kBagging, members_,
+                            std::vector<double>(members_.size(), 1.0));
 }
 
 }  // namespace hmd::ml

@@ -182,13 +182,18 @@ ModelComplexity BayesNet::complexity() const {
     mc.adders += 2;
   }
   // Adder-tree depth over attributes plus the bin compare stage.
-  std::size_t d = 1, n = std::max<std::size_t>(cpts_.size(), 1);
-  while (n > 1) {
-    n = (n + 1) / 2;
-    ++d;
-  }
-  mc.depth = d + 1;
+  mc.depth = reduction_depth(cpts_.size()) + 2;
   return mc;
+}
+
+std::optional<ModelStructure> BayesNet::trained_structure() const {
+  if (!trained_) return std::nullopt;
+  BayesNetIr ir;
+  ir.log_prior[0] = log_prior_[0];
+  ir.log_prior[1] = log_prior_[1];
+  for (const AttributeCpt& cpt : cpts_)
+    ir.cpts.push_back({cpt.disc.cuts(), cpt.parent, cpt.log_prob});
+  return ir;
 }
 
 }  // namespace hmd::ml

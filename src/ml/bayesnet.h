@@ -34,27 +34,11 @@ class BayesNet final : public Classifier {
   }
   std::string name() const override { return "BayesNet"; }
   ModelComplexity complexity() const override;
+  std::optional<ModelStructure> trained_structure() const override;
 
   Structure structure() const { return structure_; }
 
-  static constexpr std::size_t kNoParent = static_cast<std::size_t>(-1);
-
-  /// Trained-parameter views (read-only, for integrity analysis / export).
-  /// All are valid only after train().
-  std::size_t num_attributes() const { return cpts_.size(); }
-  double log_prior(int cls) const { return log_prior_[cls]; }
-  /// Parent attribute of `f` in the network, or kNoParent (naive Bayes).
-  std::size_t cpt_parent(std::size_t f) const { return cpts_[f].parent; }
-  /// Discretizer cut points of attribute `f`.
-  const std::vector<double>& cpt_cuts(std::size_t f) const {
-    return cpts_[f].disc.cuts();
-  }
-  /// log P(bin | class, parent_bin) table of attribute `f`:
-  /// [class][parent_bin][bin]; parent_bin dimension is 1 when no parent.
-  const std::vector<std::vector<std::vector<double>>>& cpt_log_prob(
-      std::size_t f) const {
-    return cpts_[f].log_prob;
-  }
+  static constexpr std::size_t kNoParent = CptIr::kNoParent;
 
  private:
   // log P(bin | class [, parent bin]) for one attribute.

@@ -8,16 +8,21 @@
 //     probabilities, which is what makes their standalone AUC poor and is
 //     faithful to the WEKA behaviour the paper measured;
 //   * report a ModelComplexity describing their trained structure, which
-//     the hw library converts into FPGA area/latency (paper Table 3).
+//     the hw library converts into FPGA area/latency (paper Table 3);
+//   * expose that structure itself as IR (ml/model_ir.h), the one view of
+//     their internals that inference lowering, HLS generation and the
+//     analyzers read.
 #pragma once
 
 #include <cmath>
 #include <memory>
+#include <optional>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "ml/dataset.h"
+#include "ml/model_ir.h"
 
 namespace hmd::ml {
 
@@ -26,19 +31,6 @@ namespace hmd::ml {
 /// the batched inference backends, and the HLS differential oracle — reads
 /// this one constant, so scalar and batched verdicts cannot drift.
 inline constexpr double kDecisionThreshold = 0.5;
-
-/// Structural complexity of a trained model, used for hardware costing.
-struct ModelComplexity {
-  std::string kind;             ///< "tree", "rules", "linear", "mlp", ...
-  std::size_t comparators = 0;  ///< threshold comparisons available in parallel
-  std::size_t adders = 0;       ///< accumulation operators
-  std::size_t multipliers = 0;  ///< MAC units (fixed-point multiplies)
-  std::size_t table_entries = 0;///< ROM/LUT-table words (CPTs, rule actions)
-  std::size_t nonlinearities = 0;///< activation evaluations (PWL sigmoid)
-  std::size_t depth = 0;        ///< sequential depth in "stages"
-  std::size_t inputs = 0;       ///< distinct features consumed
-  std::vector<ModelComplexity> children;  ///< ensemble members
-};
 
 class Classifier {
  public:
@@ -78,6 +70,12 @@ class Classifier {
 
   /// Structure of the trained model, for hardware costing.
   virtual ModelComplexity complexity() const = 0;
+
+  /// The trained model's structure as IR; nullopt while untrained and for
+  /// models that expose none (the default). extract_ir() wraps it.
+  virtual std::optional<ModelStructure> trained_structure() const {
+    return std::nullopt;
+  }
 };
 
 /// The eight general ML classifiers studied by the paper.

@@ -6,14 +6,9 @@
 #include <cmath>
 #include <cstdlib>
 #include <limits>
+#include <variant>
 
-#include "ml/adaboost.h"
-#include "ml/bagging.h"
-#include "ml/j48.h"
-#include "ml/jrip.h"
-#include "ml/oner.h"
-#include "ml/random_forest.h"
-#include "ml/reptree.h"
+#include "ml/model_ir.h"
 #include "support/check.h"
 
 namespace hmd::ml {
@@ -352,28 +347,43 @@ void FlatBackend::eval_buckets(const Member& m, const double* x,
 }
 
 // ---------------------------------------------------------------------------
-// Lowering a trained model into a FlatBackend.
+// Lowering a model's IR into a FlatBackend.
 
 /// The node block's child indices are member-local u16s (half the node
 /// size, twice the cache density); members past this size have no flat
 /// form and fall back to the generic backend.
 constexpr std::size_t kMaxMemberNodes = 65535;
 
-/// Append one flattened tree (J48/RepTree/RandomTree FlatNode vectors all
-/// share the same shape) to the node block; false if it cannot be encoded.
-/// flatten() emits breadth-first with index 0 as the root, so children
-/// always follow their parent and a single forward pass computes every
-/// node's depth.
-template <typename NodeT>
-bool add_tree(FlatBackend& fb, const std::vector<NodeT>& nodes,
-              double alpha) {
+/// Lowers one IR node into `fb`, with vote weight `alpha`; returns false
+/// when it has no flat form (linear, MLP and BayesNet structures, nested
+/// ensembles, members past the u16 encoding). An ensemble lowers only at
+/// the top, each member into its own slice of the blocks, in member order.
+struct Lowering {
+  FlatBackend& fb;
+  double alpha = 1.0;
+  bool top = true;
+
+  bool operator()(const TreeIr& tree) const;
+  bool operator()(const RuleListIr& list) const;
+  bool operator()(const BucketRuleIr& rule) const;
+  bool operator()(const EnsembleIr& ens) const;
+  bool operator()(const LinearIr&) const { return false; }
+  bool operator()(const MlpIr&) const { return false; }
+  bool operator()(const BayesNetIr&) const { return false; }
+};
+
+/// Append one tree to the node block. TreeIr nodes are breadth-first with
+/// index 0 as the root, so children always follow their parent and a
+/// single forward pass computes every node's depth.
+bool Lowering::operator()(const TreeIr& tree) const {
+  const std::vector<TreeNodeIr>& nodes = tree.nodes;
   HMD_INVARIANT(!nodes.empty());
   if (nodes.size() > kMaxMemberNodes) return false;
   const auto base = static_cast<std::uint32_t>(fb.nodes_.size());
   std::vector<std::uint32_t> depth(nodes.size(), 0);
   std::uint32_t max_depth = 0;
   for (std::size_t i = 0; i < nodes.size(); ++i) {
-    const NodeT& node = nodes[i];
+    const TreeNodeIr& node = nodes[i];
     FlatBackend::FlatTreeNode flat;
     double proba = 0.0;
     if (node.leaf) {
@@ -398,7 +408,7 @@ bool add_tree(FlatBackend& fb, const std::vector<NodeT>& nodes,
   FlatBackend::Member m;
   m.unit = FlatBackend::Member::Unit::kTree;
   m.first_node = base;
-  m.entry = 0;          // flatten() places the root at local index 0
+  m.entry = 0;          // the root sits at local index 0
   m.depth = max_depth;  // a single-leaf root walks zero iterations
   m.alpha = alpha;
   fb.members_.push_back(m);
@@ -419,8 +429,8 @@ bool add_tree(FlatBackend& fb, const std::vector<NodeT>& nodes,
 /// condition lowers exactly to `x[f] > nextafter(v, -inf)` — for the
 /// finite doubles HPC features are drawn from, `x > prev(v)` and `x >= v`
 /// select the same values — with the pass edge on child[1].
-bool add_rules(FlatBackend& fb, const JRip& rip, double alpha) {
-  const std::vector<JRip::Rule>& rules = rip.rules();
+bool Lowering::operator()(const RuleListIr& list) const {
+  const std::vector<RuleIr>& rules = list.rules;
   const auto num_rules = static_cast<std::uint32_t>(rules.size());
   const auto base = static_cast<std::uint32_t>(fb.nodes_.size());
 
@@ -446,9 +456,9 @@ bool add_rules(FlatBackend& fb, const JRip& rip, double alpha) {
   };
 
   for (std::size_t r = 0; r < rules.size(); ++r) {
-    const std::vector<JRip::Condition>& conds = rules[r].conditions;
+    const std::vector<RuleConditionIr>& conds = rules[r].conditions;
     for (std::size_t j = 0; j < conds.size(); ++j) {
-      const JRip::Condition& c = conds[j];
+      const RuleConditionIr& c = conds[j];
       const std::uint16_t pass =
           j + 1 < conds.size()
               ? static_cast<std::uint16_t>(chain_start[r] + j + 1)
@@ -480,7 +490,7 @@ bool add_rules(FlatBackend& fb, const JRip& rip, double alpha) {
     fb.nodes_.push_back(leaf);
     // The value the scalar decision list returns when this rule fires
     // first, resolved at lowering time instead of per prediction.
-    fb.leaf_proba_.push_back(rip.target_class() == 1
+    fb.leaf_proba_.push_back(list.target_class == 1
                                  ? rules[r].precision
                                  : 1.0 - rules[r].precision);
   }
@@ -488,7 +498,7 @@ bool add_rules(FlatBackend& fb, const JRip& rip, double alpha) {
   fallback.child[0] = default_leaf;
   fallback.child[1] = default_leaf;
   fb.nodes_.push_back(fallback);
-  fb.leaf_proba_.push_back(rip.default_proba());
+  fb.leaf_proba_.push_back(list.default_proba);
 
   FlatBackend::Member m;
   m.unit = FlatBackend::Member::Unit::kTree;
@@ -502,90 +512,38 @@ bool add_rules(FlatBackend& fb, const JRip& rip, double alpha) {
   return true;
 }
 
-void add_buckets(FlatBackend& fb, const OneR& oner, double alpha) {
+bool Lowering::operator()(const BucketRuleIr& rule) const {
   FlatBackend::Member m;
   m.unit = FlatBackend::Member::Unit::kBuckets;
-  m.feature = static_cast<std::uint32_t>(oner.chosen_feature());
+  m.feature = static_cast<std::uint32_t>(rule.feature);
   m.first_cut = static_cast<std::uint32_t>(fb.cuts_.size());
-  m.num_cuts = static_cast<std::uint32_t>(oner.bucket_cuts().size());
+  m.num_cuts = static_cast<std::uint32_t>(rule.cuts.size());
   m.first_bucket = static_cast<std::uint32_t>(fb.bucket_proba_.size());
   m.alpha = alpha;
-  fb.cuts_.insert(fb.cuts_.end(), oner.bucket_cuts().begin(),
-                  oner.bucket_cuts().end());
-  fb.bucket_proba_.insert(fb.bucket_proba_.end(), oner.bucket_proba().begin(),
-                          oner.bucket_proba().end());
-  fb.min_features_ = std::max(fb.min_features_, oner.chosen_feature() + 1);
+  fb.cuts_.insert(fb.cuts_.end(), rule.cuts.begin(), rule.cuts.end());
+  fb.bucket_proba_.insert(fb.bucket_proba_.end(), rule.proba.begin(),
+                          rule.proba.end());
+  fb.min_features_ = std::max(fb.min_features_, rule.feature + 1);
   fb.members_.push_back(m);
+  return true;
 }
 
-/// Lower one base (non-ensemble) model; false if it has no flat form.
-/// Untrained models also return false: they fall back to the generic
-/// backend so the scalar "train() must be called first" error surfaces at
-/// predict time exactly as before.
-bool add_base(FlatBackend& fb, const Classifier& model, double alpha) {
-  if (const auto* j48 = dynamic_cast<const J48*>(&model)) {
-    return j48->trained() && add_tree(fb, j48->flatten(), alpha);
+/// kAdaBoost votes with the raw member weights (the alphas) and
+/// normalises by their member-order sum, exactly as AdaBoostM1 does;
+/// kBagging averages (Bagging and RandomForest).
+bool Lowering::operator()(const EnsembleIr& ens) const {
+  if (!top || ens.members.empty()) return false;
+  const bool vote = ens.kind == EnsembleIr::Kind::kAdaBoost;
+  fb.combine_ =
+      vote ? FlatBackend::Combine::kVote : FlatBackend::Combine::kAverage;
+  for (std::size_t m = 0; m < ens.members.size(); ++m) {
+    const double member_alpha = vote ? ens.member_raw_weights[m] : 1.0;
+    if (!std::visit(Lowering{fb, member_alpha, /*top=*/false},
+                    ens.members[m].structure))
+      return false;
+    if (vote) fb.alpha_total_ += member_alpha;
   }
-  if (const auto* rep = dynamic_cast<const RepTree*>(&model)) {
-    return rep->trained() && add_tree(fb, rep->flatten(), alpha);
-  }
-  if (const auto* rnd = dynamic_cast<const RandomTree*>(&model)) {
-    return rnd->trained() && add_tree(fb, rnd->flatten(), alpha);
-  }
-  if (const auto* rip = dynamic_cast<const JRip*>(&model)) {
-    return rip->trained() && add_rules(fb, *rip, alpha);
-  }
-  if (const auto* oner = dynamic_cast<const OneR*>(&model)) {
-    if (!oner->trained()) return false;
-    add_buckets(fb, *oner, alpha);
-    return true;
-  }
-  return false;
-}
-
-std::unique_ptr<FlatBackend> try_build_flat(const Classifier& model) {
-  auto fb = std::make_unique<FlatBackend>();
-  if (const auto* boost = dynamic_cast<const AdaBoostM1*>(&model)) {
-    if (boost->num_members() == 0) return nullptr;  // untrained: fall back
-    fb->combine_ = FlatBackend::Combine::kVote;
-    for (std::size_t m = 0; m < boost->num_members(); ++m) {
-      if (!add_base(*fb, boost->member(m), boost->member_alpha(m)))
-        return nullptr;
-      fb->alpha_total_ += boost->member_alpha(m);
-    }
-    return fb;
-  }
-  if (const auto* bag = dynamic_cast<const Bagging*>(&model)) {
-    if (bag->num_members() == 0) return nullptr;
-    fb->combine_ = FlatBackend::Combine::kAverage;
-    for (std::size_t m = 0; m < bag->num_members(); ++m)
-      if (!add_base(*fb, bag->member(m), 1.0)) return nullptr;
-    return fb;
-  }
-  if (const auto* forest = dynamic_cast<const RandomForest*>(&model)) {
-    if (forest->num_trees() == 0) return nullptr;
-    fb->combine_ = FlatBackend::Combine::kAverage;
-    for (std::size_t m = 0; m < forest->num_trees(); ++m)
-      if (!add_base(*fb, forest->member(m), 1.0)) return nullptr;
-    return fb;
-  }
-  fb->combine_ = FlatBackend::Combine::kSingle;
-  if (!add_base(*fb, model, 1.0)) return nullptr;
-  return fb;
-}
-
-bool base_flattenable(const Classifier& model) {
-  if (const auto* j48 = dynamic_cast<const J48*>(&model))
-    return j48->trained();
-  if (const auto* rep = dynamic_cast<const RepTree*>(&model))
-    return rep->trained();
-  if (const auto* rnd = dynamic_cast<const RandomTree*>(&model))
-    return rnd->trained();
-  if (const auto* rip = dynamic_cast<const JRip*>(&model))
-    return rip->trained();
-  if (const auto* oner = dynamic_cast<const OneR*>(&model))
-    return oner->trained();
-  return false;
+  return true;
 }
 
 }  // namespace
@@ -660,29 +618,17 @@ double InferenceBackend::predict_proba(std::span<const double> x) const {
   return out;
 }
 
-bool flat_supported(const Classifier& model) {
-  if (const auto* boost = dynamic_cast<const AdaBoostM1*>(&model)) {
-    if (boost->num_members() == 0) return false;
-    for (std::size_t m = 0; m < boost->num_members(); ++m)
-      if (!base_flattenable(boost->member(m))) return false;
-    return true;
-  }
-  if (const auto* bag = dynamic_cast<const Bagging*>(&model)) {
-    if (bag->num_members() == 0) return false;
-    for (std::size_t m = 0; m < bag->num_members(); ++m)
-      if (!base_flattenable(bag->member(m))) return false;
-    return true;
-  }
-  if (const auto* forest = dynamic_cast<const RandomForest*>(&model)) {
-    return forest->num_trees() > 0;  // members are always RandomTrees
-  }
-  return base_flattenable(model);
-}
-
 std::unique_ptr<InferenceBackend> make_backend(const Classifier& model,
                                                InferBackendKind kind) {
   if (kind == InferBackendKind::kFlat) {
-    if (auto flat = try_build_flat(model)) return flat;
+    // Untrained models have no structure: they get the generic backend,
+    // so the scalar "train() must be called first" error surfaces at
+    // predict time.
+    if (const std::optional<ModelStructure> structure =
+            model.trained_structure()) {
+      auto flat = std::make_unique<FlatBackend>();
+      if (std::visit(Lowering{*flat}, *structure)) return flat;
+    }
     return std::make_unique<ScalarBackend>(model, "generic");
   }
   return std::make_unique<ScalarBackend>(model, "scalar");

@@ -2,7 +2,8 @@
 //
 // Training became columnar (DESIGN §9); this module does the same for
 // *prediction* — the path every deployed detector and every grid
-// evaluation sits on. A trained model is lowered once into contiguous
+// evaluation sits on. A trained model's IR (ml/model_ir.h, the one
+// structural view of a trained model) is lowered once into contiguous
 // "flat" form — packed 16-byte tree nodes with a parallel
 // leaf-probability array, rule lists compiled into a DAG over the same
 // node form (each conjunct's pass edge continues the conjunction, its
@@ -19,17 +20,18 @@
 //             over the pointer-linked model, exactly the pre-existing
 //             behaviour. Every other backend is differentially tested
 //             bit-identical against it.
-//   flat    — the flattened branch-free batch engine. Supported for the
-//             tree/rule families (J48, REPTree, RandomTree, JRip, OneR)
-//             and AdaBoost/Bagging/RandomForest ensembles of them.
+//   flat    — the flattened branch-free batch engine, lowered from the
+//             model's IR. Supported for the tree/rule structures (J48,
+//             REPTree, RandomTree, JRip, OneR) and AdaBoost/Bagging/
+//             RandomForest ensembles of them.
 //   generic — the automatic fallback when `flat` is requested for a model
 //             with no flat lowering (BayesNet, MLP, SGD, SMO and ensembles
 //             of them): same batch API, scalar predict_proba inside, so
 //             callers can pin "flat" process-wide without special-casing.
 //   fixed   — bit-simulation of the HLS Q-format decision function; lives
-//             in src/analysis (analysis::FixedPointBackend) because it is
-//             built from the model IR, and gives the differential lint a
-//             fast software oracle.
+//             in src/analysis (analysis::FixedPointBackend) beside the
+//             fixed-point arithmetic it replays, and gives the differential
+//             lint a fast software oracle.
 //
 // Determinism contract: for any model, any backend returned by
 // make_backend() produces bit-identical probabilities to the scalar
@@ -97,18 +99,13 @@ class InferenceBackend {
   double predict_proba(std::span<const double> x) const;
 };
 
-/// True when `model` has a flat lowering: a *trained* tree/rule-family
-/// model (J48, REPTree, RandomTree, JRip, OneR) or an
-/// AdaBoost/Bagging/RandomForest ensemble of them. Untrained models report
-/// false — they get the generic fallback, so the scalar "train() must be
-/// called first" error still surfaces at predict time.
-bool flat_supported(const Classifier& model);
-
-/// Build an inference backend for a trained model. Requesting kFlat for a
-/// model without a flat lowering returns the generic fallback (same API,
-/// scalar inside) rather than failing, so callers can pin the backend
-/// process-wide. Scalar/generic backends reference `model`; it must
-/// outlive them.
+/// Build an inference backend for a trained model. kFlat lowers the
+/// model's trained_structure() (ml/model_ir.h); a model without a flat
+/// lowering — no structure (untrained, PlattScaling), a structure outside
+/// the tree/rule families, or a member past the u16 node encoding — gets
+/// the generic fallback (same API, scalar inside) rather than failing, so
+/// callers can pin the backend process-wide. Scalar/generic backends
+/// reference `model`; it must outlive them.
 std::unique_ptr<InferenceBackend> make_backend(const Classifier& model,
                                                InferBackendKind kind);
 

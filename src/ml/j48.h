@@ -34,22 +34,12 @@ class J48 final : public Classifier {
   }
   std::string name() const override { return "J48"; }
   ModelComplexity complexity() const override;
+  /// The reachable tree as a TreeIr (tree_ir): index 0 is the root.
+  std::optional<ModelStructure> trained_structure() const override;
 
   std::size_t num_nodes() const { return nodes_.size(); }
   std::size_t num_leaves() const;
   std::size_t depth() const;
-  bool trained() const { return trained_; }
-
-  /// Flattened reachable tree (for hardware codegen): index 0 is the root.
-  struct FlatNode {
-    bool leaf = true;
-    std::size_t feature = 0;
-    double threshold = 0.0;
-    std::size_t left = 0;   ///< index of the <= branch
-    std::size_t right = 0;  ///< index of the > branch
-    double proba = 0.5;     ///< Laplace-smoothed P(malware) at leaves
-  };
-  std::vector<FlatNode> flatten() const;
 
  private:
   struct Node {

@@ -317,4 +317,19 @@ ModelComplexity JRip::complexity() const {
   return mc;
 }
 
+std::optional<ModelStructure> JRip::trained_structure() const {
+  if (!trained_) return std::nullopt;
+  RuleListIr ir;
+  ir.target_class = target_;
+  ir.default_proba = default_proba_;
+  for (const Rule& rule : rules_) {
+    RuleIr out;
+    out.precision = rule.precision;
+    for (const Condition& c : rule.conditions)
+      out.conditions.push_back({c.feature, c.leq, c.value});
+    ir.rules.push_back(std::move(out));
+  }
+  return ir;
+}
+
 }  // namespace hmd::ml

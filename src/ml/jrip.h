@@ -34,6 +34,7 @@ class JRip final : public Classifier {
   }
   std::string name() const override { return "JRip"; }
   ModelComplexity complexity() const override;
+  std::optional<ModelStructure> trained_structure() const override;
 
   struct Condition {
     std::size_t feature = 0;
@@ -56,7 +57,6 @@ class JRip final : public Classifier {
   };
 
   std::size_t num_rules() const { return rules_.size(); }
-  bool trained() const { return trained_; }
   const std::vector<Rule>& rules() const { return rules_; }
   int target_class() const { return target_; }
   /// P(malware) when no rule fires (valid after train()).

@@ -124,18 +124,14 @@ ModelComplexity Mlp::complexity() const {
   mc.adders = h_ * nf_ + h_ + h_ + 1;
   mc.nonlinearities = h_ + 1;  // PWL sigmoid evaluators
   // Two dense layers, each an adder tree over its fan-in.
-  auto tree_depth = [](std::size_t n) {
-    std::size_t d = 0;
-    while (n > 1) {
-      n = (n + 1) / 2;
-      ++d;
-    }
-    return d;
-  };
-  mc.depth = tree_depth(std::max<std::size_t>(nf_, 1)) +
-             tree_depth(std::max<std::size_t>(h_, 1)) + 4;
+  mc.depth = reduction_depth(nf_) + reduction_depth(h_) + 4;
   mc.inputs = nf_;
   return mc;
+}
+
+std::optional<ModelStructure> Mlp::trained_structure() const {
+  if (!trained_) return std::nullopt;
+  return MlpIr{nf_, h_, w1_, b1_, w2_, b2_, mean_, stdev_};
 }
 
 }  // namespace hmd::ml

@@ -34,18 +34,9 @@ class Mlp final : public Classifier {
   }
   std::string name() const override { return "MLP"; }
   ModelComplexity complexity() const override;
+  std::optional<ModelStructure> trained_structure() const override;
 
   std::size_t hidden_units() const { return h_; }
-
-  /// Trained parameters (read-only, for integrity analysis / export).
-  /// All are valid only after train().
-  std::size_t num_inputs() const { return nf_; }
-  const std::vector<double>& hidden_weights() const { return w1_; }
-  const std::vector<double>& hidden_bias() const { return b1_; }
-  const std::vector<double>& output_weights() const { return w2_; }
-  double output_bias() const { return b2_; }
-  const std::vector<double>& input_mean() const { return mean_; }
-  const std::vector<double>& input_stdev() const { return stdev_; }
 
  private:
   double forward(std::span<const double> x, std::vector<double>& hid) const;

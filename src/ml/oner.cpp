@@ -118,4 +118,9 @@ ModelComplexity OneR::complexity() const {
   return mc;
 }
 
+std::optional<ModelStructure> OneR::trained_structure() const {
+  if (!trained_) return std::nullopt;
+  return BucketRuleIr{feature_, cuts_, proba_};
+}
+
 }  // namespace hmd::ml

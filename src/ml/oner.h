@@ -26,14 +26,11 @@ class OneR final : public Classifier {
   }
   std::string name() const override { return "OneR"; }
   ModelComplexity complexity() const override;
+  std::optional<ModelStructure> trained_structure() const override;
 
-  bool trained() const { return trained_; }
   /// The feature the rule was built on (valid after train()).
   std::size_t chosen_feature() const { return feature_; }
   std::size_t num_buckets() const { return proba_.size(); }
-  /// Bucket boundaries and per-bucket P(malware) (for hardware codegen).
-  const std::vector<double>& bucket_cuts() const { return cuts_; }
-  const std::vector<double>& bucket_proba() const { return proba_; }
 
  private:
   double min_bucket_weight_;

@@ -112,36 +112,9 @@ double RandomTree::predict_proba(std::span<const double> x) const {
   }
 }
 
-std::vector<RandomTree::FlatNode> RandomTree::flatten() const {
-  HMD_REQUIRE(trained_);
-  std::vector<FlatNode> out;
-  // Map reachable arena indices to compact output indices, breadth-first
-  // so index 0 is the root (same scheme as J48/RepTree::flatten).
-  std::vector<std::size_t> order{0};
-  std::vector<std::size_t> compact(nodes_.size(), 0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Node& node = nodes_[order[i]];
-    compact[order[i]] = i;
-    if (!node.leaf) {
-      order.push_back(static_cast<std::size_t>(node.left));
-      order.push_back(static_cast<std::size_t>(node.right));
-    }
-  }
-  out.resize(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Node& node = nodes_[order[i]];
-    FlatNode& flat = out[i];
-    flat.leaf = node.leaf;
-    if (node.leaf) {
-      flat.proba = (node.w_pos + 1.0) / (node.w_pos + node.w_neg + 2.0);
-    } else {
-      flat.feature = node.feature;
-      flat.threshold = node.threshold;
-      flat.left = compact[static_cast<std::size_t>(node.left)];
-      flat.right = compact[static_cast<std::size_t>(node.right)];
-    }
-  }
-  return out;
+std::optional<ModelStructure> RandomTree::trained_structure() const {
+  if (!trained_) return std::nullopt;
+  return tree_ir(nodes_);
 }
 
 ModelComplexity RandomTree::complexity() const {
@@ -216,8 +189,15 @@ ModelComplexity RandomForest::complexity() const {
   mc.comparators = 1;
   std::size_t max_child = 0;
   for (const auto& c : mc.children) max_child = std::max(max_child, c.depth);
-  mc.depth = max_child + 2;
+  // The same member-average combine as Bagging: an adder tree, then the
+  // divide.
+  mc.depth = max_child + reduction_depth(members_.size()) + 1;
   return mc;
+}
+
+std::optional<ModelStructure> RandomForest::trained_structure() const {
+  return ensemble_structure(EnsembleIr::Kind::kBagging, members_,
+                            std::vector<double>(members_.size(), 1.0));
 }
 
 }  // namespace hmd::ml

@@ -35,19 +35,8 @@ class RandomTree final : public Classifier {
   }
   std::string name() const override { return "RandomTree"; }
   ModelComplexity complexity() const override;
-  bool trained() const { return trained_; }
-
-  /// Flattened reachable tree (for the flat inference backend); see
-  /// J48::FlatNode — index 0 is the root.
-  struct FlatNode {
-    bool leaf = true;
-    std::size_t feature = 0;
-    double threshold = 0.0;
-    std::size_t left = 0;
-    std::size_t right = 0;
-    double proba = 0.5;
-  };
-  std::vector<FlatNode> flatten() const;
+  /// The reachable tree as a TreeIr (tree_ir): index 0 is the root.
+  std::optional<ModelStructure> trained_structure() const override;
 
  private:
   struct Node {
@@ -83,9 +72,10 @@ class RandomForest final : public Classifier {
   std::unique_ptr<Classifier> clone_untrained() const override;
   std::string name() const override { return "RandomForest"; }
   ModelComplexity complexity() const override;
+  /// A kBagging EnsembleIr: the trees' probabilities are averaged.
+  std::optional<ModelStructure> trained_structure() const override;
 
   std::size_t num_trees() const { return members_.size(); }
-  const Classifier& member(std::size_t i) const { return *members_[i]; }
 
  private:
   std::size_t trees_;

@@ -177,36 +177,9 @@ ModelComplexity RepTree::complexity() const {
 }
 
 
-std::vector<RepTree::FlatNode> RepTree::flatten() const {
-  HMD_REQUIRE(trained_);
-  std::vector<FlatNode> out;
-  // Map reachable arena indices to compact output indices, breadth-first
-  // so index 0 is the root.
-  std::vector<std::size_t> order{0};
-  std::vector<std::size_t> compact(nodes_.size(), 0);
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Node& node = nodes_[order[i]];
-    compact[order[i]] = i;
-    if (!node.leaf) {
-      order.push_back(static_cast<std::size_t>(node.left));
-      order.push_back(static_cast<std::size_t>(node.right));
-    }
-  }
-  out.resize(order.size());
-  for (std::size_t i = 0; i < order.size(); ++i) {
-    const Node& node = nodes_[order[i]];
-    FlatNode& flat = out[i];
-    flat.leaf = node.leaf;
-    if (node.leaf) {
-      flat.proba = (node.w_pos + 1.0) / (node.w_pos + node.w_neg + 2.0);
-    } else {
-      flat.feature = node.feature;
-      flat.threshold = node.threshold;
-      flat.left = compact[static_cast<std::size_t>(node.left)];
-      flat.right = compact[static_cast<std::size_t>(node.right)];
-    }
-  }
-  return out;
+std::optional<ModelStructure> RepTree::trained_structure() const {
+  if (!trained_) return std::nullopt;
+  return tree_ir(nodes_);
 }
 
 }  // namespace hmd::ml

@@ -32,20 +32,10 @@ class RepTree final : public Classifier {
   }
   std::string name() const override { return "REPTree"; }
   ModelComplexity complexity() const override;
+  /// The reachable tree as a TreeIr (tree_ir): index 0 is the root.
+  std::optional<ModelStructure> trained_structure() const override;
 
   std::size_t num_nodes() const { return nodes_.size(); }
-  bool trained() const { return trained_; }
-
-  /// Flattened reachable tree (for hardware codegen); see J48::FlatNode.
-  struct FlatNode {
-    bool leaf = true;
-    std::size_t feature = 0;
-    double threshold = 0.0;
-    std::size_t left = 0;
-    std::size_t right = 0;
-    double proba = 0.5;
-  };
-  std::vector<FlatNode> flatten() const;
 
  private:
   struct Node {

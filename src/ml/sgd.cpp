@@ -80,14 +80,14 @@ ModelComplexity Sgd::complexity() const {
   mc.multipliers = nf_;
   mc.adders = nf_;
   mc.comparators = 1;
-  std::size_t d = 0, n = std::max<std::size_t>(nf_, 1);
-  while (n > 1) {
-    n = (n + 1) / 2;
-    ++d;
-  }
-  mc.depth = d + 2;
+  mc.depth = reduction_depth(nf_) + 2;
   mc.inputs = nf_;
   return mc;
+}
+
+std::optional<ModelStructure> Sgd::trained_structure() const {
+  if (!trained_) return std::nullopt;
+  return LinearIr{w_, b_, mean_, stdev_, /*hard_output=*/true};
 }
 
 }  // namespace hmd::ml

@@ -27,16 +27,10 @@ class Sgd final : public Classifier {
   }
   std::string name() const override { return "SGD"; }
   ModelComplexity complexity() const override;
+  std::optional<ModelStructure> trained_structure() const override;
 
   /// Raw decision margin w·x + b (standardized inputs).
   double margin(std::span<const double> x) const;
-
-  /// Trained parameters (for hardware codegen): margin =
-  /// sum_f weights()[f] * (x[f] - input_mean()[f]) / input_stdev()[f] + bias().
-  const std::vector<double>& weights() const { return w_; }
-  double bias() const { return b_; }
-  const std::vector<double>& input_mean() const { return mean_; }
-  const std::vector<double>& input_stdev() const { return stdev_; }
 
  private:
   double lambda_;

@@ -139,14 +139,14 @@ ModelComplexity Smo::complexity() const {
   mc.multipliers = nf_;
   mc.adders = nf_;
   mc.comparators = 1;
-  std::size_t d = 0, nfe = std::max<std::size_t>(nf_, 1);
-  while (nfe > 1) {
-    nfe = (nfe + 1) / 2;
-    ++d;
-  }
-  mc.depth = d + 2;
+  mc.depth = reduction_depth(nf_) + 2;
   mc.inputs = nf_;
   return mc;
+}
+
+std::optional<ModelStructure> Smo::trained_structure() const {
+  if (!trained_) return std::nullopt;
+  return LinearIr{w_, b_, mean_, stdev_, /*hard_output=*/true};
 }
 
 }  // namespace hmd::ml

@@ -29,15 +29,10 @@ class Smo final : public Classifier {
   }
   std::string name() const override { return "SMO"; }
   ModelComplexity complexity() const override;
+  std::optional<ModelStructure> trained_structure() const override;
 
   double margin(std::span<const double> x) const;
   std::size_t support_vector_count() const { return n_support_; }
-
-  /// Trained parameters (for hardware codegen); see Sgd for the formula.
-  const std::vector<double>& weights() const { return w_; }
-  double bias() const { return b_; }
-  const std::vector<double>& input_mean() const { return mean_; }
-  const std::vector<double>& input_stdev() const { return stdev_; }
 
  private:
   double c_;

@@ -8,18 +8,28 @@
 #include <sstream>
 
 #include "analysis/hls_checker.h"
-#include "analysis/model_ir.h"
 #include "analysis/model_verifier.h"
 #include "hw/hls_codegen.h"
 #include "ml/classifier.h"
 #include "ml/j48.h"
 #include "ml/mlp.h"
+#include "ml/model_ir.h"
+#include "ml/random_forest.h"
 #include "support/check.h"
 #include "test_util.h"
 
 namespace hmd::analysis {
 namespace {
 
+using ml::BucketRuleIr;
+using ml::EnsembleIr;
+using ml::extract_ir;
+using ml::MlpIr;
+using ml::ModelIr;
+using ml::ModelStructure;
+using ml::RuleIr;
+using ml::RuleListIr;
+using ml::TreeIr;
 using testutil::gaussian_blobs;
 
 bool has_code(const VerifyReport& report, const std::string& code) {
@@ -192,13 +202,18 @@ TEST(ModelVerifier, AllTrainedFamiliesVerifyClean) {
           ml::EnsembleKind::kBagging}) {
       auto model = ml::make_detector(kind, ens, 7);
       model->train(data);
-      ASSERT_TRUE(ir_supported(*model));
       const VerifyReport report = verify_model(*model);
       EXPECT_TRUE(report.ok())
           << model->name() << ":\n"
           << report.to_string();
     }
   }
+  // RandomForest averages like Bagging, so its reported complexity must
+  // match the same member-average reduction depth.
+  ml::RandomForest forest(12, 0, 7);
+  forest.train(data);
+  const VerifyReport report = verify_model(forest);
+  EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
 TEST(ModelVerifier, UntrainedModelThrows) {
@@ -256,9 +271,10 @@ TEST(HlsLint, GeneratedCodeForEveryFamilyIsClean) {
           ml::EnsembleKind::kBagging}) {
       auto model = ml::make_detector(kind, ens, 7);
       model->train(data);
-      if (!hw::hls_supported(*model)) continue;
+      const ModelIr ir = extract_ir(*model);
+      if (!hw::hls_supported(ir)) continue;
       std::ostringstream os;
-      hw::generate_hls_c(os, *model, data.num_features());
+      hw::generate_hls_c(os, ir, data.num_features());
       const VerifyReport report = lint_hls_code(os.str());
       EXPECT_TRUE(report.ok())
           << model->name() << ":\n"
@@ -311,8 +327,10 @@ TEST(Differential, TrainedFamiliesMatchTheirGeneratedArithmetic) {
           ml::EnsembleKind::kBagging}) {
       auto model = ml::make_detector(kind, ens, 7);
       model->train(data);
-      if (!hw::hls_supported(*model)) continue;
-      const DifferentialResult result = differential_check(*model, data);
+      const ModelIr ir = extract_ir(*model);
+      if (!hw::hls_supported(ir)) continue;
+      const DifferentialResult result =
+          differential_check(*model, ir, data);
       EXPECT_TRUE(result.ok)
           << model->name() << ": " << result.mismatches << "/"
           << result.probes << " probes diverge";
@@ -325,7 +343,8 @@ TEST(Differential, EmptyProbeSetThrows) {
   ml::J48 tree;
   tree.train(data);
   const ml::Dataset empty(std::vector<std::string>{"f0"});
-  EXPECT_THROW(differential_check(tree, empty), PreconditionError);
+  EXPECT_THROW(differential_check(tree, extract_ir(tree), empty),
+               PreconditionError);
 }
 
 TEST(Differential, UnsupportedStructureThrows) {

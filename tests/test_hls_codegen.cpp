@@ -1,6 +1,6 @@
 // Tests for the HLS C code generator: structural checks on the emitted
-// code for every supported model family, plus a full compile check with
-// the system C compiler when one is available.
+// code for every supported model family, plus a full compile check of
+// every family with the system C compiler when one is available.
 #include <gtest/gtest.h>
 
 #include <cstdio>
@@ -13,6 +13,8 @@
 #include "ml/bagging.h"
 #include "ml/bayesnet.h"
 #include "ml/classifier.h"
+#include "ml/model_ir.h"
+#include "ml/random_forest.h"
 #include "support/check.h"
 #include "test_util.h"
 
@@ -21,19 +23,50 @@ namespace {
 
 using testutil::gaussian_blobs;
 
-std::string generate_for(ml::ClassifierKind kind, ml::EnsembleKind ens) {
-  const ml::Dataset data = gaussian_blobs(80, 2, 1, 1.2, 9);
-  auto model = ml::make_detector(kind, ens, 7);
-  model->train(data);
+/// The three-feature training data every generated-code case uses.
+ml::Dataset codegen_data() { return gaussian_blobs(80, 2, 1, 1.2, 9); }
+
+std::string generate_for(const ml::Classifier& model) {
   std::ostringstream os;
-  generate_hls_c(os, *model, data.num_features());
+  generate_hls_c(os, ml::extract_ir(model), codegen_data().num_features());
   return os.str();
 }
+
+std::string generate_for(ml::ClassifierKind kind, ml::EnsembleKind ens) {
+  auto model = ml::make_detector(kind, ens, 7);
+  model->train(codegen_data());
+  return generate_for(*model);
+}
+
+/// Compiles `code` behind a small main with the system C compiler as a
+/// strict C99 translation unit. `tag` names the case; each case writes its
+/// own temp files, so concurrently running cases cannot collide.
+void expect_compiles_with_cc(const std::string& code, const std::string& tag) {
+  const std::string base = testing::TempDir() + "hmd_codegen_" + tag;
+  {
+    std::ofstream out(base + ".c");
+    out << code << "\nint main(void) { int32_t x[3] = {0, 0, 0}; "
+           "return hmd_classify(x); }\n";
+  }
+  const std::string command = "cc -std=c99 -Wall -Werror -o " + base + " " +
+                              base + ".c > /dev/null 2>&1";
+  EXPECT_EQ(std::system(command.c_str()), 0)
+      << tag << ": generated C failed to compile";
+  std::remove((base + ".c").c_str());
+  std::remove(base.c_str());
+}
+
+bool have_cc() { return std::system("cc --version > /dev/null 2>&1") == 0; }
 
 struct CodegenCase {
   ml::ClassifierKind kind;
   ml::EnsembleKind ensemble;
 };
+
+std::string case_name(const CodegenCase& c) {
+  return std::string(ml::classifier_kind_name(c.kind)) + "_" +
+         std::string(ml::ensemble_kind_name(c.ensemble));
+}
 
 class CodegenFamilies : public testing::TestWithParam<CodegenCase> {};
 
@@ -47,6 +80,12 @@ TEST_P(CodegenFamilies, EmitsSelfContainedC) {
   EXPECT_EQ(code.find("double"), std::string::npos);
   EXPECT_EQ(code.find("float"), std::string::npos);
   EXPECT_EQ(code.find("malloc"), std::string::npos);
+}
+
+TEST_P(CodegenFamilies, GeneratedCodeCompilesWithSystemCc) {
+  if (!have_cc()) GTEST_SKIP() << "no system C compiler available";
+  expect_compiles_with_cc(generate_for(GetParam().kind, GetParam().ensemble),
+                          case_name(GetParam()));
 }
 
 INSTANTIATE_TEST_SUITE_P(
@@ -63,8 +102,7 @@ INSTANTIATE_TEST_SUITE_P(
         CodegenCase{ml::ClassifierKind::kRepTree,
                     ml::EnsembleKind::kBagging}),
     [](const testing::TestParamInfo<CodegenCase>& tpi) {
-      return std::string(ml::classifier_kind_name(tpi.param.kind)) + "_" +
-             std::string(ml::ensemble_kind_name(tpi.param.ensemble));
+      return case_name(tpi.param);
     });
 
 TEST(Codegen, EnsembleEmitsOneHelperPerMember) {
@@ -82,9 +120,29 @@ TEST(Codegen, UnsupportedModelRejected) {
   const ml::Dataset data = gaussian_blobs(40, 1, 0, 1.0, 10);
   ml::BayesNet bn;
   bn.train(data);
-  EXPECT_FALSE(hls_supported(bn));
+  const ml::ModelIr ir = ml::extract_ir(bn);
+  EXPECT_FALSE(hls_supported(ir));
   std::ostringstream os;
-  EXPECT_THROW(generate_hls_c(os, bn, 1), PreconditionError);
+  EXPECT_THROW(generate_hls_c(os, ir, 1), PreconditionError);
+}
+
+TEST(Codegen, UntrainedEnsemblesRejected) {
+  // An untrained ensemble has no members to vote; emitting it would yield
+  // a detector that flags every input as malware.
+  for (ml::EnsembleKind ens :
+       {ml::EnsembleKind::kAdaBoost, ml::EnsembleKind::kBagging}) {
+    const auto untrained = ml::make_detector(ml::ClassifierKind::kJ48, ens, 7);
+    std::ostringstream os;
+    EXPECT_THROW(generate_hls_c(os, ml::extract_ir(*untrained), 3),
+                 PreconditionError)
+        << ml::ensemble_kind_name(ens);
+  }
+  ml::ModelIr empty;
+  empty.name = "empty";
+  empty.structure = ml::EnsembleIr{};
+  EXPECT_FALSE(hls_supported(empty));
+  std::ostringstream os;
+  EXPECT_THROW(generate_hls_c(os, empty, 3), PreconditionError);
 }
 
 TEST(Codegen, SupportedPredicateMatchesGenerator) {
@@ -94,7 +152,10 @@ TEST(Codegen, SupportedPredicateMatchesGenerator) {
         ml::ClassifierKind::kSmo}) {
     auto model = ml::make_classifier(kind, 7);
     model->train(data);
-    EXPECT_TRUE(hls_supported(*model));
+    const ml::ModelIr ir = ml::extract_ir(*model);
+    EXPECT_TRUE(hls_supported(ir));
+    std::ostringstream os;
+    EXPECT_NO_THROW(generate_hls_c(os, ir, data.num_features()));
   }
 }
 
@@ -106,29 +167,20 @@ TEST(Codegen, CustomFunctionNameAndWidth) {
   opt.function_name = "detect";
   opt.fraction_bits = 4;
   std::ostringstream os;
-  generate_hls_c(os, *model, 1, opt);
+  generate_hls_c(os, ml::extract_ir(*model), 1, opt);
   EXPECT_NE(os.str().find("int detect(const int32_t x[1])"),
             std::string::npos);
 }
 
 TEST(Codegen, GeneratedCodeCompilesWithSystemCc) {
-  if (std::system("cc --version > /dev/null 2>&1") != 0)
-    GTEST_SKIP() << "no system C compiler available";
-
-  const std::string code =
-      generate_for(ml::ClassifierKind::kJRip, ml::EnsembleKind::kAdaBoost);
-  const char* path = "/tmp/hmd_codegen_test.c";
-  {
-    std::ofstream out(path);
-    out << code << "\nint main(void) { int32_t x[3] = {0, 0, 0}; "
-           "return hmd_classify(x); }\n";
-  }
-  const int rc = std::system(
-      "cc -std=c99 -Wall -Werror -o /tmp/hmd_codegen_test "
-      "/tmp/hmd_codegen_test.c > /dev/null 2>&1");
-  EXPECT_EQ(rc, 0) << "generated C failed to compile";
-  std::remove(path);
-  std::remove("/tmp/hmd_codegen_test");
+  // The ensembles outside CodegenFamilies: Bagged J48 and a RandomForest.
+  if (!have_cc()) GTEST_SKIP() << "no system C compiler available";
+  expect_compiles_with_cc(
+      generate_for(ml::ClassifierKind::kJ48, ml::EnsembleKind::kBagging),
+      "J48_Bagging");
+  ml::RandomForest forest(12, 0, 7);
+  forest.train(codegen_data());
+  expect_compiles_with_cc(generate_for(forest), "RandomForest");
 }
 
 }  // namespace

@@ -13,13 +13,13 @@
 
 #include "analysis/fixed_backend.h"
 #include "analysis/hls_checker.h"
-#include "analysis/model_ir.h"
 #include "core/online.h"
 #include "ml/classifier.h"
 #include "ml/infer.h"
 #include "ml/j48.h"
 #include "ml/jrip.h"
 #include "ml/metrics.h"
+#include "ml/model_ir.h"
 #include "ml/random_forest.h"
 #include "support/check.h"
 #include "test_util.h"
@@ -160,7 +160,6 @@ TEST(Infer, RandomForestFlattens) {
   const auto data = gaussian_blobs(60, 3, 1, 1.4, 31);
   RandomForest forest(12, 0, 7);
   forest.train(data);
-  EXPECT_TRUE(flat_supported(forest));
   const auto backend = make_backend(forest, InferBackendKind::kFlat);
   EXPECT_EQ(backend->name(), "flat");
   expect_backends_identical(forest, data);
@@ -280,9 +279,9 @@ TEST(InferFixedPoint, BackendMatchesFixedPointDecide) {
   ml::J48 tree;
   tree.train(data);
   constexpr int kBits = 8;
-  const analysis::FixedPointBackend backend(tree, kBits);
+  const ml::ModelIr ir = ml::extract_ir(tree);
+  const analysis::FixedPointBackend backend(ir, kBits);
   EXPECT_EQ(backend.name(), "fixed");
-  const analysis::ModelIr ir = analysis::extract_ir(tree);
   std::vector<std::int32_t> encoded(data.num_features());
   for (std::size_t i = 0; i < data.num_rows(); ++i) {
     const auto row = data.row(i);

@@ -460,17 +460,18 @@ CellVerdict lint_cell(const hmd::core::ExperimentContext& ctx,
     }
   };
 
-  absorb(analysis::verify_model(*detector), "model-verifier");
+  // One structural view of the trained detector feeds every analyzer.
+  const ml::ModelIr ir = ml::extract_ir(*detector);
+  absorb(analysis::verify_ir(ir), "model-verifier");
 
-  if (hw::hls_supported(*detector)) {
-    const analysis::ModelIr ir = analysis::extract_ir(*detector);
+  if (hw::hls_supported(ir)) {
     absorb(analysis::check_fixed_point_range(ir, args.fraction_bits),
            "fixed-point-range");
 
     hw::HlsOptions hls_options;
     hls_options.fraction_bits = args.fraction_bits;
     std::ostringstream code;
-    hw::generate_hls_c(code, *detector, hpcs, hls_options);
+    hw::generate_hls_c(code, ir, hpcs, hls_options);
     analysis::HlsLintOptions lint_options;
     lint_options.fraction_bits = args.fraction_bits;
     absorb(analysis::lint_hls_code(code.str(), lint_options), "hls-lint");
@@ -478,8 +479,8 @@ CellVerdict lint_cell(const hmd::core::ExperimentContext& ctx,
     analysis::DifferentialOptions diff_options;
     diff_options.fraction_bits = args.fraction_bits;
     diff_options.max_mismatch_rate = args.max_mismatch;
-    const auto diff = analysis::differential_check(*detector, test,
-                                                   diff_options);
+    const auto diff =
+        analysis::differential_check(*detector, ir, test, diff_options);
     if (!diff.ok) {
       verdict.pass = false;
       ++verdict.errors;
