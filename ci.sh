@@ -27,8 +27,10 @@
 #      cell, and the Release-tree report must be byte-identical at 1 and 4
 #      threads.
 #   6. Inference legs (1c2-1c3): the scalar-vs-flat inference benchmark
-#      must report bit-identical scores in every grid cell, and the fig3
-#      table must be byte-identical whichever backend scores it.
+#      must report bit-identical scores in every grid cell, with every
+#      tree/rule cell on the flat engine and every other cell on the
+#      generic fallback, and the fig3 table must be byte-identical
+#      whichever backend scores it.
 #   7. Static-analysis legs (1d-1f): hmd_srclint must report zero
 #      unsuppressed determinism violations over the tree; clang-tidy and a
 #      clang -Wthread-safety build run when those tools are installed and
@@ -102,7 +104,10 @@ fi
 echo "=== [1c2] micro_infer: inference benchmark, scalar vs flat (quick) ==="
 (cd build-ci-release && ./bench/micro_infer --quick --reps 1)
 # The benchmark exits non-zero if any backend pair disagrees; also require
-# a well-formed report where every cell's scores matched bitwise.
+# a well-formed report where every cell's scores matched bitwise and every
+# cell ran on the engine its family lowers to: J48, REPTree, JRip and OneR
+# (alone, boosted, bagged) on flat, the rest on generic. A lowering that
+# silently fell back to generic would still match scores.
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
@@ -112,6 +117,12 @@ assert report["bench"] == "micro_infer", report
 assert report["all_scores_match"] is True, "scalar/flat scores diverge"
 assert len(report["cells"]) == 24, f"expected 24 cells, got {len(report['cells'])}"
 assert all(c["score_match"] for c in report["cells"]), report["cells"]
+flat_families = {"J48", "REPTree", "JRip", "OneR"}
+for c in report["cells"]:
+    want = "flat" if c["classifier"] in flat_families else "generic"
+    assert c["backend"] == want, (
+        f'{c["ensemble"]} {c["classifier"]}: backend {c["backend"]}, '
+        f'expected {want}')
 assert report["tree_ensemble_speedup"] > 0, report["tree_ensemble_speedup"]
 print(f"BENCH_infer.json OK: tree-ensemble speedup "
       f"{report['tree_ensemble_speedup']:.2f}x")
@@ -120,6 +131,10 @@ else
   grep -q '"bench": "micro_infer"' build-ci-release/BENCH_infer.json
   grep -q '"all_scores_match": true' build-ci-release/BENCH_infer.json
   grep -q '"tree_ensemble_speedup"' build-ci-release/BENCH_infer.json
+  test "$(grep -cE '"classifier": "(J48|REPTree|JRip|OneR)",[^}]*"backend": "flat"' \
+    build-ci-release/BENCH_infer.json)" -eq 12
+  test "$(grep -cE '"classifier": "(BayesNet|MLP|SGD|SMO)",[^}]*"backend": "generic"' \
+    build-ci-release/BENCH_infer.json)" -eq 12
   echo "BENCH_infer.json OK (grep fallback)"
 fi
 
