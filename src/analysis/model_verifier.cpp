@@ -33,20 +33,20 @@ std::string VerifyReport::to_string() const {
 
 namespace {
 
+/// Tolerance of the probability-sum checks (CPT rows, priors).
+constexpr double kDistributionTolerance = 1e-6;
+
 bool finite(double v) { return std::isfinite(v); }
 
 bool valid_proba(double v) { return finite(v) && v >= 0.0 && v <= 1.0; }
 
 class Verifier {
  public:
-  explicit Verifier(const VerifyOptions& options) : options_(options) {}
-
   VerifyReport take_report() { return std::move(report_); }
 
   void verify(const ml::ModelIr& ir, const std::string& context) {
     std::visit([&](const auto& s) { check_structure(s, context); },
                ir.structure);
-    if (options_.check_complexity) check_complexity(ir, context);
   }
 
  private:
@@ -278,7 +278,7 @@ class Verifier {
     const double prior_sum =
         std::exp(bn.log_prior[0]) + std::exp(bn.log_prior[1]);
     if (!finite(bn.log_prior[0]) || !finite(bn.log_prior[1]) ||
-        std::abs(prior_sum - 1.0) > options_.distribution_tolerance)
+        std::abs(prior_sum - 1.0) > kDistributionTolerance)
       error("bayes-prior", ctx,
             "class priors do not form a distribution (sum = " +
                 std::to_string(prior_sum) + ")");
@@ -336,7 +336,7 @@ class Verifier {
           }
           if (row_finite &&
               std::abs(sum - 1.0) >
-                  options_.distribution_tolerance *
+                  kDistributionTolerance *
                       static_cast<double>(std::max<std::size_t>(bins, 1)))
             error("bayes-cpt-sum", ctx,
                   where + " conditional distribution sums to " +
@@ -351,7 +351,7 @@ class Verifier {
       std::size_t cur = f;
       while (cur < na && bn.cpts[cur].parent != ml::CptIr::kNoParent) {
         cur = bn.cpts[cur].parent;
-        if (cur >= na) break;  // already reported as bayes-parent
+        if (cur >= na) break;  // already flagged as bayes-parent
         if (!seen.insert(cur).second) {
           error("bayes-parent-cycle", ctx,
                 "attribute parent chain starting at " + std::to_string(f) +
@@ -401,175 +401,19 @@ class Verifier {
     }
   }
 
-  // ---- complexity cross-check ----------------------------------------
-
-  void check_complexity(const ml::ModelIr& ir, const std::string& ctx) {
-    const ml::ModelComplexity expected = expected_complexity(ir);
-    const ml::ModelComplexity& reported = ir.reported;
-
-    auto mismatch = [&](const char* field, std::size_t want,
-                        std::size_t got) {
-      if (want != got)
-        error("complexity-drift", ctx,
-              ir.name + " reports " + field + " = " + std::to_string(got) +
-                  " but its structure implies " + std::to_string(want) +
-                  " — hw/resources costing would drift");
-    };
-    if (expected.kind != reported.kind)
-      error("complexity-drift", ctx,
-            ir.name + " reports kind '" + reported.kind +
-                "' but its structure is '" + expected.kind + "'");
-    mismatch("comparators", expected.comparators, reported.comparators);
-    mismatch("adders", expected.adders, reported.adders);
-    mismatch("multipliers", expected.multipliers, reported.multipliers);
-    mismatch("table_entries", expected.table_entries,
-             reported.table_entries);
-    mismatch("nonlinearities", expected.nonlinearities,
-             reported.nonlinearities);
-    mismatch("depth", expected.depth, reported.depth);
-    mismatch("inputs", expected.inputs, reported.inputs);
-    // Member complexities are cross-checked by the recursive member
-    // verification; only the arity is compared here.
-    mismatch("children", expected.children.size(), reported.children.size());
-  }
-
-  VerifyOptions options_;
   VerifyReport report_;
-};
-
-struct ExpectedComplexity {
-  ml::ModelComplexity operator()(const ml::TreeIr& tree) const {
-    ml::ModelComplexity mc;
-    mc.kind = "tree";
-    if (tree.nodes.empty()) return mc;
-    std::set<std::size_t> features;
-    // Guarded walk from the root: out-of-range children are skipped and a
-    // visited set keeps corrupted (cyclic) IR from hanging the analyzer.
-    std::vector<bool> visited(tree.nodes.size(), false);
-    std::vector<std::pair<std::size_t, std::size_t>> stack{{0, 1}};
-    std::size_t internal = 0, leaves = 0, depth = 0;
-    while (!stack.empty()) {
-      const auto [idx, level] = stack.back();
-      stack.pop_back();
-      if (idx >= tree.nodes.size() || visited[idx]) continue;
-      visited[idx] = true;
-      depth = std::max(depth, level);
-      const ml::TreeNodeIr& node = tree.nodes[idx];
-      if (node.leaf) {
-        ++leaves;
-        continue;
-      }
-      ++internal;
-      features.insert(node.feature);
-      stack.emplace_back(node.left, level + 1);
-      stack.emplace_back(node.right, level + 1);
-    }
-    mc.comparators = internal;
-    mc.table_entries = leaves;
-    mc.depth = depth;
-    mc.inputs = features.size();
-    return mc;
-  }
-
-  ml::ModelComplexity operator()(const ml::RuleListIr& rules) const {
-    ml::ModelComplexity mc;
-    mc.kind = "rules";
-    std::set<std::size_t> features;
-    for (const ml::RuleIr& rule : rules.rules) {
-      mc.comparators += rule.conditions.size();
-      for (const ml::RuleConditionIr& c : rule.conditions)
-        features.insert(c.feature);
-    }
-    mc.table_entries = rules.rules.size() + 1;
-    mc.depth = 1 + rules.rules.size();
-    mc.inputs = features.size();
-    return mc;
-  }
-
-  ml::ModelComplexity operator()(const ml::BucketRuleIr& rule) const {
-    ml::ModelComplexity mc;
-    mc.kind = "rules";
-    mc.comparators = rule.cuts.size();
-    mc.table_entries = rule.proba.size();
-    mc.depth = 1;
-    mc.inputs = 1;
-    return mc;
-  }
-
-  ml::ModelComplexity operator()(const ml::LinearIr& linear) const {
-    ml::ModelComplexity mc;
-    mc.kind = "linear";
-    const std::size_t nf = linear.weights.size();
-    mc.multipliers = nf;
-    mc.adders = nf;
-    mc.comparators = 1;
-    mc.depth = ml::reduction_depth(nf) + 2;
-    mc.inputs = nf;
-    return mc;
-  }
-
-  ml::ModelComplexity operator()(const ml::MlpIr& mlp) const {
-    ml::ModelComplexity mc;
-    mc.kind = "mlp";
-    mc.multipliers = mlp.hidden * mlp.inputs + mlp.hidden;
-    mc.adders = mlp.hidden * mlp.inputs + mlp.hidden + mlp.hidden + 1;
-    mc.nonlinearities = mlp.hidden + 1;
-    mc.depth =
-        ml::reduction_depth(mlp.inputs) + ml::reduction_depth(mlp.hidden) + 4;
-    mc.inputs = mlp.inputs;
-    return mc;
-  }
-
-  ml::ModelComplexity operator()(const ml::BayesNetIr& bn) const {
-    ml::ModelComplexity mc;
-    mc.kind = "bayes";
-    mc.inputs = bn.cpts.size();
-    for (const ml::CptIr& cpt : bn.cpts) {
-      mc.comparators += cpt.cuts.size();
-      const std::size_t pbins = cpt.parent == ml::CptIr::kNoParent ||
-                                        cpt.parent >= bn.cpts.size()
-                                    ? 1
-                                    : bn.cpts[cpt.parent].cuts.size() + 1;
-      mc.table_entries += 2 * pbins * (cpt.cuts.size() + 1);
-      mc.adders += 2;
-    }
-    mc.depth = ml::reduction_depth(bn.cpts.size()) + 2;
-    return mc;
-  }
-
-  ml::ModelComplexity operator()(const ml::EnsembleIr& ens) const {
-    ml::ModelComplexity mc;
-    mc.kind = "ensemble";
-    const std::size_t n = ens.members.size();
-    if (ens.kind == ml::EnsembleIr::Kind::kAdaBoost) mc.multipliers = n;
-    mc.adders = n;
-    mc.comparators = 1;
-    std::size_t max_child_depth = 0;
-    for (const ml::ModelIr& member : ens.members) {
-      mc.children.push_back(expected_complexity(member));
-      mc.inputs = std::max(mc.inputs, mc.children.back().inputs);
-      max_child_depth = std::max(max_child_depth, mc.children.back().depth);
-    }
-    mc.depth = max_child_depth + ml::reduction_depth(n) + 1;
-    return mc;
-  }
 };
 
 }  // namespace
 
-ml::ModelComplexity expected_complexity(const ml::ModelIr& ir) {
-  return std::visit(ExpectedComplexity{}, ir.structure);
-}
-
-VerifyReport verify_ir(const ml::ModelIr& ir, const VerifyOptions& options) {
-  Verifier verifier(options);
+VerifyReport verify_ir(const ml::ModelIr& ir) {
+  Verifier verifier;
   verifier.verify(ir, /*context=*/"");
   return verifier.take_report();
 }
 
-VerifyReport verify_model(const ml::Classifier& model,
-                          const VerifyOptions& options) {
-  return verify_ir(ml::extract_ir(model), options);
+VerifyReport verify_model(const ml::Classifier& model) {
+  return verify_ir(ml::extract_ir(model));
 }
 
 }  // namespace hmd::analysis

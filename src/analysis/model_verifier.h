@@ -24,10 +24,8 @@
 //   * ensembles — non-empty membership, finite positive member weights
 //     normalised to sum to 1, members verified recursively.
 //
-// In addition, the verifier recomputes the ModelComplexity that hw/resources
-// costing relies on from the IR itself and flags any drift from the value
-// the classifier reported — so a classifier whose complexity() falls out of
-// sync with its real structure can no longer skew area/latency estimates.
+// Hardware costing reads ml::complexity(ir) of the same IR, so there is no
+// second complexity figure to cross-check.
 #pragma once
 
 #include <cstddef>
@@ -63,27 +61,11 @@ struct VerifyReport {
   std::string to_string() const;
 };
 
-struct VerifyOptions {
-  /// Cross-check the classifier-reported ModelComplexity against the
-  /// structure (disable when verifying hand-built IR without one).
-  bool check_complexity = true;
-  /// Relative tolerance for probability-sum checks (CPT rows, priors).
-  double distribution_tolerance = 1e-6;
-};
-
-/// Verify hand-built or extracted IR. `ir.reported` is only consulted when
-/// options.check_complexity is set.
-VerifyReport verify_ir(const ml::ModelIr& ir,
-                       const VerifyOptions& options = {});
+/// Verify hand-built or extracted IR.
+VerifyReport verify_ir(const ml::ModelIr& ir);
 
 /// Convenience: ml::extract_ir() + verify_ir() for a trained classifier.
 /// Throws PreconditionError for models without structure (untrained).
-VerifyReport verify_model(const ml::Classifier& model,
-                          const VerifyOptions& options = {});
-
-/// Recompute the hardware-costing complexity from the structure alone,
-/// mirroring the documented per-family rules. Exposed so tests and the
-/// drift check share one implementation.
-ml::ModelComplexity expected_complexity(const ml::ModelIr& ir);
+VerifyReport verify_model(const ml::Classifier& model);
 
 }  // namespace hmd::analysis

@@ -116,7 +116,7 @@ CellEvaluation run_cell_full(const ExperimentContext& ctx,
   out.result.classifier = kind;
   out.result.ensemble = ensemble;
   out.result.hpcs = hpcs;
-  out.result.complexity = detector->complexity();
+  out.result.complexity = ml::complexity(ml::extract_ir(*detector));
 
   out.scores.scores = ml::score_dataset(*detector, *test);
   std::vector<double> weights;

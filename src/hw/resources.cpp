@@ -127,9 +127,4 @@ ResourceEstimate estimate_hardware(const ml::ModelComplexity& model,
   return total;
 }
 
-ResourceEstimate estimate_hardware(const ml::Classifier& clf,
-                                   const FabricParams& fabric) {
-  return estimate_hardware(clf.complexity(), fabric);
-}
-
 }  // namespace hmd::hw

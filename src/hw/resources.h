@@ -4,7 +4,8 @@
 // Virtex-7 and reports (a) classification latency in clock cycles @10 ns and
 // (b) area as utilized LUT/FF/DSP resources relative to an OpenSPARC core on
 // the same fabric. Without the Xilinx toolchain we estimate both from the
-// *structure of the actually-trained model* (ml::ModelComplexity):
+// *structure of the actually-trained model*: the ml::ModelComplexity that
+// ml::complexity(ir) computes from the model's IR (ml/model_ir.h):
 //
 //   * every threshold comparison costs a W-bit comparator, every
 //     accumulation a W-bit adder, every MAC a DSP48 slice, every CPT/leaf
@@ -26,7 +27,7 @@
 #include <cstdint>
 #include <string>
 
-#include "ml/classifier.h"
+#include "ml/model_ir.h"
 
 namespace hmd::hw {
 
@@ -68,12 +69,9 @@ struct ResourceEstimate {
   double latency_ns() const { return latency_cycles * 10.0; }
 };
 
-/// Estimate the hardware implementation of a trained model.
+/// Estimate the hardware implementation of a trained model from its
+/// complexity, ml::complexity(ml::extract_ir(model)).
 ResourceEstimate estimate_hardware(const ml::ModelComplexity& model,
-                                   const FabricParams& fabric = {});
-
-/// Convenience: estimate directly from a trained classifier.
-ResourceEstimate estimate_hardware(const ml::Classifier& clf,
                                    const FabricParams& fabric = {});
 
 }  // namespace hmd::hw

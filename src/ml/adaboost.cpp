@@ -115,25 +115,6 @@ std::string AdaBoostM1::name() const {
   return "AdaBoost(" + prototype_->name() + ")";
 }
 
-ModelComplexity AdaBoostM1::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc;
-  mc.kind = "ensemble";
-  for (const auto& m : members_) {
-    mc.children.push_back(m->complexity());
-    mc.inputs = std::max(mc.inputs, mc.children.back().inputs);
-  }
-  // The vote: one multiplier + adder per member, then a compare.
-  mc.multipliers = members_.size();
-  mc.adders = members_.size();
-  mc.comparators = 1;
-  std::size_t max_child_depth = 0;
-  for (const auto& c : mc.children)
-    max_child_depth = std::max(max_child_depth, c.depth);
-  mc.depth = max_child_depth + reduction_depth(members_.size()) + 1;
-  return mc;
-}
-
 std::optional<ModelStructure> AdaBoostM1::trained_structure() const {
   return ensemble_structure(EnsembleIr::Kind::kAdaBoost, members_, alpha_);
 }

@@ -37,7 +37,6 @@ class AdaBoostM1 final : public Classifier {
   double margin(std::span<const double> x) const override;
   std::unique_ptr<Classifier> clone_untrained() const override;
   std::string name() const override;
-  ModelComplexity complexity() const override;
   /// A kAdaBoost EnsembleIr whose raw member weights are the alphas.
   std::optional<ModelStructure> trained_structure() const override;
 

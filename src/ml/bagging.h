@@ -35,7 +35,6 @@ class Bagging final : public Classifier {
   double margin(std::span<const double> x) const override;
   std::unique_ptr<Classifier> clone_untrained() const override;
   std::string name() const override;
-  ModelComplexity complexity() const override;
   /// A kBagging EnsembleIr: member probabilities are averaged.
   std::optional<ModelStructure> trained_structure() const override;
 

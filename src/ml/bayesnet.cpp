@@ -167,25 +167,6 @@ double BayesNet::predict_proba(std::span<const double> x) const {
   return e1 / (e0 + e1);
 }
 
-ModelComplexity BayesNet::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc;
-  mc.kind = "bayes";
-  mc.inputs = cpts_.size();
-  for (const AttributeCpt& cpt : cpts_) {
-    // Binning needs cuts comparators; each attribute contributes one table
-    // read + one adder into the log-posterior accumulation per class.
-    mc.comparators += cpt.disc.cuts().size();
-    const std::size_t pbins =
-        cpt.parent == kNoParent ? 1 : cpts_[cpt.parent].disc.num_bins();
-    mc.table_entries += 2 * pbins * cpt.disc.num_bins();
-    mc.adders += 2;
-  }
-  // Adder-tree depth over attributes plus the bin compare stage.
-  mc.depth = reduction_depth(cpts_.size()) + 2;
-  return mc;
-}
-
 std::optional<ModelStructure> BayesNet::trained_structure() const {
   if (!trained_) return std::nullopt;
   BayesNetIr ir;

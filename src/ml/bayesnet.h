@@ -33,7 +33,6 @@ class BayesNet final : public Classifier {
     return std::make_unique<BayesNet>(structure_, alpha_);
   }
   std::string name() const override { return "BayesNet"; }
-  ModelComplexity complexity() const override;
   std::optional<ModelStructure> trained_structure() const override;
 
   Structure structure() const { return structure_; }

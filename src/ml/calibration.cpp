@@ -116,15 +116,4 @@ std::string PlattScaling::name() const {
   return "Platt(" + inner_->name() + ")";
 }
 
-ModelComplexity PlattScaling::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc = inner_->complexity();
-  // The sigmoid costs one MAC plus a small PWL evaluator.
-  mc.multipliers += 1;
-  mc.adders += 1;
-  mc.nonlinearities += 1;
-  mc.depth += 1;
-  return mc;
-}
-
 }  // namespace hmd::ml

@@ -27,7 +27,6 @@ class PlattScaling final : public Classifier {
   double predict_proba(std::span<const double> x) const override;
   std::unique_ptr<Classifier> clone_untrained() const override;
   std::string name() const override;
-  ModelComplexity complexity() const override;
 
   double sigmoid_a() const { return a_; }
   double sigmoid_b() const { return b_; }

@@ -7,11 +7,9 @@
 //     inherently discrete (SMO, SGD with hinge loss) return near-hard
 //     probabilities, which is what makes their standalone AUC poor and is
 //     faithful to the WEKA behaviour the paper measured;
-//   * report a ModelComplexity describing their trained structure, which
-//     the hw library converts into FPGA area/latency (paper Table 3);
-//   * expose that structure itself as IR (ml/model_ir.h), the one view of
-//     their internals that inference lowering, HLS generation and the
-//     analyzers read.
+//   * expose their trained structure as IR (ml/model_ir.h), the one view
+//     of their internals that inference lowering, HLS generation, hardware
+//     costing (paper Table 3) and the analyzers read.
 #pragma once
 
 #include <cmath>
@@ -67,9 +65,6 @@ class Classifier {
 
   /// Display name (WEKA spelling: "J48", "JRip", "SMO", ...).
   virtual std::string name() const = 0;
-
-  /// Structure of the trained model, for hardware costing.
-  virtual ModelComplexity complexity() const = 0;
 
   /// The trained model's structure as IR; nullopt while untrained and for
   /// models that expose none (the default). extract_ir() wraps it.

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <set>
 
 #include "ml/discretize.h"  // binary_entropy
 #include "support/check.h"
@@ -206,7 +205,7 @@ double J48::prune_subtree(std::size_t idx) {
       prune_subtree(static_cast<std::size_t>(node.right));
   if (leaf_est <= subtree_est + 0.1) {
     // Subtree replacement: this node becomes a leaf (children stay in the
-    // arena but become unreachable; complexity walks from the root).
+    // arena but become unreachable; tree_ir walks from the root).
     node.leaf = true;
     node.left = node.right = -1;
     return leaf_est;
@@ -265,34 +264,6 @@ std::size_t J48::depth() const {
   HMD_REQUIRE(trained_);
   return depth_of(0);
 }
-
-ModelComplexity J48::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc;
-  mc.kind = "tree";
-  std::set<std::size_t> features;
-  // Walk reachable nodes only.
-  std::vector<std::size_t> stack{0};
-  std::size_t internal = 0, leaves = 0;
-  while (!stack.empty()) {
-    const Node& node = nodes_[stack.back()];
-    stack.pop_back();
-    if (node.leaf) {
-      ++leaves;
-      continue;
-    }
-    ++internal;
-    features.insert(node.feature);
-    stack.push_back(static_cast<std::size_t>(node.left));
-    stack.push_back(static_cast<std::size_t>(node.right));
-  }
-  mc.comparators = internal;
-  mc.table_entries = leaves;
-  mc.depth = depth_of(0) + 1;
-  mc.inputs = features.size();
-  return mc;
-}
-
 
 std::optional<ModelStructure> J48::trained_structure() const {
   if (!trained_) return std::nullopt;

@@ -33,7 +33,6 @@ class J48 final : public Classifier {
     return std::make_unique<J48>(confidence_, min_leaf_weight_, prune_);
   }
   std::string name() const override { return "J48"; }
-  ModelComplexity complexity() const override;
   /// The reachable tree as a TreeIr (tree_ir): index 0 is the root.
   std::optional<ModelStructure> trained_structure() const override;
 

@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <set>
 
 #include "ml/presort.h"
 #include "support/check.h"
@@ -300,21 +299,6 @@ double JRip::predict_proba(std::span<const double> x) const {
       return target_ == 1 ? rule.precision : 1.0 - rule.precision;
   }
   return default_proba_;
-}
-
-ModelComplexity JRip::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc;
-  mc.kind = "rules";
-  std::set<std::size_t> features;
-  for (const Rule& rule : rules_) {
-    mc.comparators += rule.conditions.size();
-    for (const Condition& c : rule.conditions) features.insert(c.feature);
-  }
-  mc.table_entries = rules_.size() + 1;  // decision-list actions + default
-  mc.depth = 1 + rules_.size();          // priority chain
-  mc.inputs = features.size();
-  return mc;
 }
 
 std::optional<ModelStructure> JRip::trained_structure() const {

@@ -33,7 +33,6 @@ class JRip final : public Classifier {
     return std::make_unique<JRip>(optimize_passes_, min_rule_weight_, seed_);
   }
   std::string name() const override { return "JRip"; }
-  ModelComplexity complexity() const override;
   std::optional<ModelStructure> trained_structure() const override;
 
   struct Condition {

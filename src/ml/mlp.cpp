@@ -116,19 +116,6 @@ double Mlp::predict_proba(std::span<const double> x) const {
   return forward(x, hid);
 }
 
-ModelComplexity Mlp::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc;
-  mc.kind = "mlp";
-  mc.multipliers = h_ * nf_ + h_;
-  mc.adders = h_ * nf_ + h_ + h_ + 1;
-  mc.nonlinearities = h_ + 1;  // PWL sigmoid evaluators
-  // Two dense layers, each an adder tree over its fan-in.
-  mc.depth = reduction_depth(nf_) + reduction_depth(h_) + 4;
-  mc.inputs = nf_;
-  return mc;
-}
-
 std::optional<ModelStructure> Mlp::trained_structure() const {
   if (!trained_) return std::nullopt;
   return MlpIr{nf_, h_, w1_, b1_, w2_, b2_, mean_, stdev_};

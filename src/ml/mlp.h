@@ -33,7 +33,6 @@ class Mlp final : public Classifier {
                                  seed_);
   }
   std::string name() const override { return "MLP"; }
-  ModelComplexity complexity() const override;
   std::optional<ModelStructure> trained_structure() const override;
 
   std::size_t hidden_units() const { return h_; }

@@ -4,11 +4,12 @@
 // Every learner fills it from its own data through
 // Classifier::trained_structure(), and every consumer reads it instead of
 // the learner's internals: the flat inference engine (ml/infer.h) lowers
-// from it, the HLS generator (hw/hls_codegen.h) emits from it, and the
-// verifier, range check and fixed-point mirror (src/analysis) check and
-// simulate it. Tests exercise the analyzers by constructing deliberately
-// corrupted IR (NaN thresholds, orphan tree nodes, zero-weight ensemble
-// members) that a correct training run could never produce.
+// from it, the HLS generator (hw/hls_codegen.h) emits from it, hardware
+// costing (hw/resources.h) prices its complexity(ir), and the verifier,
+// range check and fixed-point mirror (src/analysis) check and simulate it.
+// Tests exercise the analyzers by constructing deliberately corrupted IR
+// (NaN thresholds, orphan tree nodes, zero-weight ensemble members) that a
+// correct training run could never produce.
 #pragma once
 
 #include <cstddef>
@@ -20,7 +21,8 @@
 
 namespace hmd::ml {
 
-/// Structural complexity of a trained model, used for hardware costing.
+/// Structural complexity of a trained model, used for hardware costing;
+/// complexity(const ModelIr&) computes it from the IR.
 struct ModelComplexity {
   std::string kind;             ///< "tree", "rules", "linear", "mlp", ...
   std::size_t comparators = 0;  ///< threshold comparisons available in parallel
@@ -32,10 +34,6 @@ struct ModelComplexity {
   std::size_t inputs = 0;       ///< distinct features consumed
   std::vector<ModelComplexity> children;  ///< ensemble members
 };
-
-/// Depth, in stages, of a balanced binary reduction (adder tree) over `n`
-/// operands; 0 for n <= 1.
-std::size_t reduction_depth(std::size_t n);
 
 /// One node of a flattened decision tree; index 0 is the root.
 struct TreeNodeIr {
@@ -173,20 +171,35 @@ struct EnsembleIr {
 using ModelStructure = std::variant<TreeIr, RuleListIr, BucketRuleIr,
                                     LinearIr, MlpIr, BayesNetIr, EnsembleIr>;
 
-/// A model's structure plus the complexity the classifier *claims* —
-/// the verifier recomputes the latter from the former and flags drift.
+/// A model's name and structure.
 struct ModelIr {
   std::string name;
   ModelStructure structure;
-  ModelComplexity reported;
 };
 
 class Classifier;
 
-/// The IR of a trained classifier: its trained_structure() plus name() and
-/// complexity(). Throws PreconditionError when the model has no structure
-/// (untrained, or a model such as PlattScaling that exposes none).
+/// The IR of a trained classifier: its name() and trained_structure().
+/// Throws PreconditionError when the model has no structure (untrained, or
+/// a model such as PlattScaling that exposes none).
 ModelIr extract_ir(const Classifier& model);
+
+/// The hardware-costing complexity of `ir`, per family:
+///   * trees — one comparator per reachable internal node, one table entry
+///     per reachable leaf, depth = levels on the longest root-leaf path;
+///   * rule lists — one comparator per condition, one action per rule plus
+///     the default, depth = rules + 1 (priority chain);
+///   * bucket rules — one comparator per cut, one entry per bucket, depth 1;
+///   * linear — a MAC per input, then the sign compare;
+///   * MLPs — both dense layers' MACs, a PWL sigmoid per hidden unit plus
+///     the output;
+///   * BayesNets — the bin comparators, both classes' CPT words, two
+///     accumulations per attribute;
+///   * ensembles — members as children, an adder per member (and a
+///     multiplier per AdaBoost vote weight), then the compare.
+/// The tree walk skips out-of-range children and visits each node once, so
+/// corrupted IR cannot make it hang.
+ModelComplexity complexity(const ModelIr& ir);
 
 /// The EnsembleIr of `members` voting with `raw_weights` (one per member),
 /// or nullopt when there are no members (untrained) or a member has no

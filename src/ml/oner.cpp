@@ -107,17 +107,6 @@ double OneR::predict_proba(std::span<const double> x) const {
   return proba_[bucket];
 }
 
-ModelComplexity OneR::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc;
-  mc.kind = "rules";
-  mc.comparators = cuts_.size();
-  mc.table_entries = proba_.size();
-  mc.depth = 1;  // one parallel compare + table lookup
-  mc.inputs = 1;
-  return mc;
-}
-
 std::optional<ModelStructure> OneR::trained_structure() const {
   if (!trained_) return std::nullopt;
   return BucketRuleIr{feature_, cuts_, proba_};

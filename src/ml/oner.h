@@ -25,7 +25,6 @@ class OneR final : public Classifier {
     return std::make_unique<OneR>(min_bucket_weight_);
   }
   std::string name() const override { return "OneR"; }
-  ModelComplexity complexity() const override;
   std::optional<ModelStructure> trained_structure() const override;
 
   /// The feature the rule was built on (valid after train()).

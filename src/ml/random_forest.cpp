@@ -1,7 +1,6 @@
 #include "ml/random_forest.h"
 
 #include <algorithm>
-#include <set>
 
 #include "ml/discretize.h"  // binary_entropy
 #include "support/check.h"
@@ -117,34 +116,6 @@ std::optional<ModelStructure> RandomTree::trained_structure() const {
   return tree_ir(nodes_);
 }
 
-ModelComplexity RandomTree::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc;
-  mc.kind = "tree";
-  std::set<std::size_t> features;
-  std::vector<std::pair<std::size_t, std::size_t>> stack{{0, 0}};
-  std::size_t internal = 0, leaves = 0, depth = 0;
-  while (!stack.empty()) {
-    const auto [idx, d] = stack.back();
-    stack.pop_back();
-    depth = std::max(depth, d);
-    const Node& node = nodes_[idx];
-    if (node.leaf) {
-      ++leaves;
-      continue;
-    }
-    ++internal;
-    features.insert(node.feature);
-    stack.push_back({static_cast<std::size_t>(node.left), d + 1});
-    stack.push_back({static_cast<std::size_t>(node.right), d + 1});
-  }
-  mc.comparators = internal;
-  mc.table_entries = leaves;
-  mc.depth = depth + 1;
-  mc.inputs = features.size();
-  return mc;
-}
-
 RandomForest::RandomForest(std::size_t trees, std::size_t features_per_split,
                            std::uint64_t seed)
     : trees_(trees), features_per_split_(features_per_split), seed_(seed) {
@@ -175,24 +146,6 @@ double RandomForest::predict_proba(std::span<const double> x) const {
 
 std::unique_ptr<Classifier> RandomForest::clone_untrained() const {
   return std::make_unique<RandomForest>(trees_, features_per_split_, seed_);
-}
-
-ModelComplexity RandomForest::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc;
-  mc.kind = "ensemble";
-  for (const auto& m : members_) {
-    mc.children.push_back(m->complexity());
-    mc.inputs = std::max(mc.inputs, mc.children.back().inputs);
-  }
-  mc.adders = members_.size();
-  mc.comparators = 1;
-  std::size_t max_child = 0;
-  for (const auto& c : mc.children) max_child = std::max(max_child, c.depth);
-  // The same member-average combine as Bagging: an adder tree, then the
-  // divide.
-  mc.depth = max_child + reduction_depth(members_.size()) + 1;
-  return mc;
 }
 
 std::optional<ModelStructure> RandomForest::trained_structure() const {

@@ -34,7 +34,6 @@ class RandomTree final : public Classifier {
                                         min_leaf_weight_, seed_);
   }
   std::string name() const override { return "RandomTree"; }
-  ModelComplexity complexity() const override;
   /// The reachable tree as a TreeIr (tree_ir): index 0 is the root.
   std::optional<ModelStructure> trained_structure() const override;
 
@@ -71,7 +70,6 @@ class RandomForest final : public Classifier {
   double predict_proba(std::span<const double> x) const override;
   std::unique_ptr<Classifier> clone_untrained() const override;
   std::string name() const override { return "RandomForest"; }
-  ModelComplexity complexity() const override;
   /// A kBagging EnsembleIr: the trees' probabilities are averaged.
   std::optional<ModelStructure> trained_structure() const override;
 

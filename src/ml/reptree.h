@@ -31,7 +31,6 @@ class RepTree final : public Classifier {
                                      seed_);
   }
   std::string name() const override { return "REPTree"; }
-  ModelComplexity complexity() const override;
   /// The reachable tree as a TreeIr (tree_ir): index 0 is the root.
   std::optional<ModelStructure> trained_structure() const override;
 

@@ -26,7 +26,6 @@ class Sgd final : public Classifier {
     return std::make_unique<Sgd>(lambda_, epochs_, seed_);
   }
   std::string name() const override { return "SGD"; }
-  ModelComplexity complexity() const override;
   std::optional<ModelStructure> trained_structure() const override;
 
   /// Raw decision margin w·x + b (standardized inputs).

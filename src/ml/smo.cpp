@@ -132,18 +132,6 @@ double Smo::predict_proba(std::span<const double> x) const {
   return margin(x) >= 0.0 ? 1.0 : 0.0;
 }
 
-ModelComplexity Smo::complexity() const {
-  HMD_REQUIRE(trained_);
-  ModelComplexity mc;
-  mc.kind = "linear";
-  mc.multipliers = nf_;
-  mc.adders = nf_;
-  mc.comparators = 1;
-  mc.depth = reduction_depth(nf_) + 2;
-  mc.inputs = nf_;
-  return mc;
-}
-
 std::optional<ModelStructure> Smo::trained_structure() const {
   if (!trained_) return std::nullopt;
   return LinearIr{w_, b_, mean_, stdev_, /*hard_output=*/true};

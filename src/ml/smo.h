@@ -28,7 +28,6 @@ class Smo final : public Classifier {
     return std::make_unique<Smo>(c_, tolerance_, max_passes_, seed_);
   }
   std::string name() const override { return "SMO"; }
-  ModelComplexity complexity() const override;
   std::optional<ModelStructure> trained_structure() const override;
 
   double margin(std::span<const double> x) const;

@@ -45,14 +45,6 @@ ModelIr make_ir(ModelStructure structure) {
   return ir;
 }
 
-/// Hand-built IR has no meaningful reported complexity; skip the drift
-/// check so fixtures only trigger the defect under test.
-VerifyOptions no_complexity() {
-  VerifyOptions options;
-  options.check_complexity = false;
-  return options;
-}
-
 TreeIr valid_stump() {
   TreeIr tree;
   tree.nodes.resize(3);
@@ -67,7 +59,7 @@ TreeIr valid_stump() {
 
 TEST(ModelVerifier, ValidStumpPasses) {
   const VerifyReport report =
-      verify_ir(make_ir(valid_stump()), no_complexity());
+      verify_ir(make_ir(valid_stump()));
   EXPECT_TRUE(report.ok()) << report.to_string();
 }
 
@@ -75,7 +67,7 @@ TEST(ModelVerifier, NanThresholdDetected) {
   TreeIr tree = valid_stump();
   tree.nodes[0].threshold = std::numeric_limits<double>::quiet_NaN();
   const VerifyReport report =
-      verify_ir(make_ir(std::move(tree)), no_complexity());
+      verify_ir(make_ir(std::move(tree)));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "tree-threshold")) << report.to_string();
 }
@@ -84,7 +76,7 @@ TEST(ModelVerifier, OrphanNodeDetected) {
   TreeIr tree = valid_stump();
   tree.nodes.push_back({true, 0, 0.0, 0, 0, 0.5});  // nothing points here
   const VerifyReport report =
-      verify_ir(make_ir(std::move(tree)), no_complexity());
+      verify_ir(make_ir(std::move(tree)));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "tree-orphan")) << report.to_string();
 }
@@ -96,7 +88,7 @@ TEST(ModelVerifier, CycleThroughRootDetected) {
   tree.nodes[1] = {false, 1, 2.0, 0, 2, 0.5};  // points back at the root
   tree.nodes[2] = {true, 0, 0.0, 0, 0, 0.9};
   const VerifyReport report =
-      verify_ir(make_ir(std::move(tree)), no_complexity());
+      verify_ir(make_ir(std::move(tree)));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "tree-cycle")) << report.to_string();
 }
@@ -105,7 +97,7 @@ TEST(ModelVerifier, ChildIndexOutOfRangeDetected) {
   TreeIr tree = valid_stump();
   tree.nodes[0].right = 17;
   const VerifyReport report =
-      verify_ir(make_ir(std::move(tree)), no_complexity());
+      verify_ir(make_ir(std::move(tree)));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "tree-child-range")) << report.to_string();
 }
@@ -114,7 +106,7 @@ TEST(ModelVerifier, InvalidLeafDistributionDetected) {
   TreeIr tree = valid_stump();
   tree.nodes[1].proba = 1.5;  // not a probability
   const VerifyReport report =
-      verify_ir(make_ir(std::move(tree)), no_complexity());
+      verify_ir(make_ir(std::move(tree)));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "tree-leaf-proba")) << report.to_string();
 }
@@ -127,7 +119,7 @@ TEST(ModelVerifier, ContradictoryRuleDetected) {
   rule.precision = 0.9;
   rules.rules.push_back(std::move(rule));
   const VerifyReport report =
-      verify_ir(make_ir(std::move(rules)), no_complexity());
+      verify_ir(make_ir(std::move(rules)));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "rule-contradiction")) << report.to_string();
 }
@@ -143,7 +135,7 @@ TEST(ModelVerifier, ZeroWeightAdaBoostMemberDetected) {
   ens.members.push_back(make_ir(stump));
   ens.members.push_back(make_ir(stump));
   const VerifyReport report =
-      verify_ir(make_ir(std::move(ens)), no_complexity());
+      verify_ir(make_ir(std::move(ens)));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "ensemble-weight")) << report.to_string();
 }
@@ -159,7 +151,7 @@ TEST(ModelVerifier, UnnormalizedEnsembleDetected) {
   ens.members.push_back(make_ir(stump));
   ens.members.push_back(make_ir(stump));
   const VerifyReport report =
-      verify_ir(make_ir(std::move(ens)), no_complexity());
+      verify_ir(make_ir(std::move(ens)));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "ensemble-normalization"))
       << report.to_string();
@@ -174,22 +166,10 @@ TEST(ModelVerifier, MemberDefectReportedWithContext) {
   bad.nodes[0].threshold = std::numeric_limits<double>::infinity();
   ens.members.push_back(make_ir(std::move(bad)));
   const VerifyReport report =
-      verify_ir(make_ir(std::move(ens)), no_complexity());
+      verify_ir(make_ir(std::move(ens)));
   EXPECT_FALSE(report.ok());
   EXPECT_TRUE(has_code(report, "tree-threshold")) << report.to_string();
   EXPECT_NE(report.to_string().find("member 0"), std::string::npos);
-}
-
-TEST(ModelVerifier, ComplexityTamperingDetected) {
-  const ml::Dataset data = gaussian_blobs(60, 2, 1, 1.2, 5);
-  ml::J48 tree;
-  tree.train(data);
-  ModelIr ir = extract_ir(tree);
-  EXPECT_TRUE(verify_ir(ir).ok()) << verify_ir(ir).to_string();
-  ir.reported.comparators += 5;  // claim hardware that is not there
-  const VerifyReport report = verify_ir(ir);
-  EXPECT_FALSE(report.ok());
-  EXPECT_TRUE(has_code(report, "complexity-drift")) << report.to_string();
 }
 
 // ---- clean pass-through over every trained family ---------------------
@@ -208,8 +188,6 @@ TEST(ModelVerifier, AllTrainedFamiliesVerifyClean) {
           << report.to_string();
     }
   }
-  // RandomForest averages like Bagging, so its reported complexity must
-  // match the same member-average reduction depth.
   ml::RandomForest forest(12, 0, 7);
   forest.train(data);
   const VerifyReport report = verify_model(forest);

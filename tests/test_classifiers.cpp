@@ -103,7 +103,7 @@ TEST_P(ClassifierContract, ComplexityIsPopulated) {
   const Dataset data = gaussian_blobs(80, 2, 0, 1.0, 46);
   auto clf = make();
   clf->train(data);
-  const ModelComplexity mc = clf->complexity();
+  const ModelComplexity mc = complexity(extract_ir(*clf));
   EXPECT_FALSE(mc.kind.empty());
   EXPECT_GE(mc.depth, 1u);
   if (GetParam().ensemble != EnsembleKind::kGeneral) {

@@ -113,7 +113,6 @@ class FakeScorer final : public ml::Classifier {
     return std::make_unique<FakeScorer>();
   }
   std::string name() const override { return "Fake"; }
-  ml::ModelComplexity complexity() const override { return {}; }
 };
 
 sim::EventCounts counts_with_instructions(std::uint64_t n) {

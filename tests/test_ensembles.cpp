@@ -78,7 +78,7 @@ TEST(AdaBoost, ComplexityAggregatesMembers) {
   const Dataset data = gaussian_blobs(100, 1, 0, 1.8, 24);
   AdaBoostM1 boosted(std::make_unique<OneR>(), 10, 7);
   boosted.train(data);
-  const auto mc = boosted.complexity();
+  const auto mc = complexity(extract_ir(boosted));
   EXPECT_EQ(mc.kind, "ensemble");
   EXPECT_EQ(mc.children.size(), boosted.num_members());
 }

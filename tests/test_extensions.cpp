@@ -149,7 +149,7 @@ TEST(RandomForest, ComplexityHasAllTrees) {
   const Dataset data = gaussian_blobs(60, 1, 0, 1.0, 10);
   ml::RandomForest forest(12);
   forest.train(data);
-  EXPECT_EQ(forest.complexity().children.size(), 12u);
+  EXPECT_EQ(ml::complexity(ml::extract_ir(forest)).children.size(), 12u);
   EXPECT_EQ(forest.num_trees(), 12u);
 }
 

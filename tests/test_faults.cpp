@@ -388,7 +388,6 @@ class FixedScorer : public ml::Classifier {
     return std::make_unique<FixedScorer>();
   }
   std::string name() const override { return "Fixed"; }
-  ml::ModelComplexity complexity() const override { return {}; }
 };
 
 sim::EventCounts counts_with_instructions(std::uint64_t n) {
@@ -521,7 +520,6 @@ class MeanScorer : public ml::Classifier {
     return std::make_unique<MeanScorer>();
   }
   std::string name() const override { return "Mean"; }
-  ml::ModelComplexity complexity() const override { return {}; }
 };
 
 TEST(OnlineRecovery, DegradedToHealthyViaReprogramKeepsAlarmAndEwma) {

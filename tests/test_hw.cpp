@@ -102,11 +102,11 @@ TEST(Estimate, EmptyEnsembleRejected) {
   EXPECT_THROW(estimate_hardware(ens), PreconditionError);
 }
 
-TEST(Estimate, TrainedClassifierOverloadWorks) {
+TEST(Estimate, TrainedClassifierComplexityWorks) {
   const auto data = testutil::gaussian_blobs(80, 2, 0, 1.0, 30);
   auto clf = ml::make_classifier(ml::ClassifierKind::kJ48);
   clf->train(data);
-  const auto est = estimate_hardware(*clf);
+  const auto est = estimate_hardware(ml::complexity(ml::extract_ir(*clf)));
   EXPECT_GT(est.area_lut_equiv(), 0.0);
   EXPECT_GT(est.latency_cycles, 0.0);
 }

@@ -4,7 +4,7 @@
 // {General, AdaBoost, Bagging} × {16, 8, 4, 2} HPCs) on the standard
 // corpus, then runs the full analysis stack on each:
 //
-//   * ModelVerifier  — structural well-formedness + complexity drift;
+//   * ModelVerifier  — structural well-formedness of the model IR;
 //   * HlsCodeChecker — synthesis-contract lint of the generated C,
 //                      fixed-point range check, and a differential check
 //                      of the generated decision function against
