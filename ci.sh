@@ -4,7 +4,8 @@
 #
 #   1. Release, warnings-as-errors — the production configuration must
 #      compile warning-clean under -Wall -Wextra -Wshadow -Wconversion
-#      -Wdouble-promotion -Wold-style-cast.
+#      -Wdouble-promotion -Wold-style-cast. HlsRun (the generated HLS C,
+#      compiled and run on probes) must then run, not skip (1a).
 #   2. Debug, AddressSanitizer + UndefinedBehaviorSanitizer — the full
 #      ctest suite must pass with zero sanitizer reports. Recovery is
 #      disabled at compile time (-fno-sanitize-recover=all) and
@@ -68,6 +69,18 @@ cmake -B build-ci-release -S . \
   -DHMD_WARNINGS_AS_ERRORS=ON
 cmake --build build-ci-release -j "${JOBS}"
 (cd build-ci-release && ctest --output-on-failure -j "${JOBS}")
+
+echo "=== [1a] HlsRun: the emitted HLS C must run, not skip ==="
+# HlsRun skips without a C compiler; this image has one, so a skip here
+# would hide a broken test. Zero tests run fails the leg as well.
+./build-ci-release/tests/hmd_tests --gtest_filter='HlsRun.*' \
+  | tee build-ci-release/hls-run.txt
+if grep -q 'SKIPPED' build-ci-release/hls-run.txt ||
+   ! grep -qE '^\[  PASSED  \] [1-9][0-9]* tests?\.' \
+     build-ci-release/hls-run.txt; then
+  echo "HlsRun skipped or ran no tests" >&2
+  exit 1
+fi
 
 echo "=== [1b] hmd_lint: analyzers over the experiment grid (quick) ==="
 # Serving budgets ride along: a small overloaded fleet must keep its e2e

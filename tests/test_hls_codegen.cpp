@@ -56,8 +56,6 @@ void expect_compiles_with_cc(const std::string& code, const std::string& tag) {
   std::remove(base.c_str());
 }
 
-bool have_cc() { return std::system("cc --version > /dev/null 2>&1") == 0; }
-
 struct CodegenCase {
   ml::ClassifierKind kind;
   ml::EnsembleKind ensemble;
@@ -83,7 +81,7 @@ TEST_P(CodegenFamilies, EmitsSelfContainedC) {
 }
 
 TEST_P(CodegenFamilies, GeneratedCodeCompilesWithSystemCc) {
-  if (!have_cc()) GTEST_SKIP() << "no system C compiler available";
+  if (!testutil::have_cc()) GTEST_SKIP() << "no system C compiler available";
   expect_compiles_with_cc(generate_for(GetParam().kind, GetParam().ensemble),
                           case_name(GetParam()));
 }
@@ -174,7 +172,7 @@ TEST(Codegen, CustomFunctionNameAndWidth) {
 
 TEST(Codegen, GeneratedCodeCompilesWithSystemCc) {
   // The ensembles outside CodegenFamilies: Bagged J48 and a RandomForest.
-  if (!have_cc()) GTEST_SKIP() << "no system C compiler available";
+  if (!testutil::have_cc()) GTEST_SKIP() << "no system C compiler available";
   expect_compiles_with_cc(
       generate_for(ml::ClassifierKind::kJ48, ml::EnsembleKind::kBagging),
       "J48_Bagging");

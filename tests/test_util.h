@@ -5,6 +5,7 @@
 
 #include <bit>
 #include <cstdint>
+#include <cstdlib>
 #include <span>
 #include <vector>
 
@@ -69,6 +70,12 @@ inline std::uint64_t fnv1a_bits(std::span<const double> values) {
     }
   }
   return h;
+}
+
+/// True when a system C compiler (`cc`) runs; tests that compile
+/// generated C skip without one.
+inline bool have_cc() {
+  return std::system("cc --version > /dev/null 2>&1") == 0;
 }
 
 /// Fraction of rows of `data` classified correctly by `clf`.
