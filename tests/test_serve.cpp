@@ -2,7 +2,8 @@
 // the P² streaming quantile estimator against a sorted reference, the
 // OnlineState automaton, and — the core contract — run_fleet determinism:
 // verdict streams and counters bit-identical across worker counts and
-// batched vs unbatched scoring.
+// batched vs unbatched scoring. GoldenServe pins the counters and verdict
+// hashes of bench/serve's --quick runs as recorded values.
 //
 // This translation unit also replaces the global operator new/delete with
 // counting versions, which backs the no-allocation assertion on the
@@ -17,6 +18,8 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <sstream>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -614,6 +617,98 @@ TEST(ServeFleet, AdmissionShedsDeterministicallyUnderOverload) {
   const auto b = serve::run_fleet(fleet, threaded);
   expect_same_counters(a.counters, b.counters);
   expect_same_verdicts(a.verdicts, b.verdicts);
+}
+
+// ---------------------------------------------------------------------------
+// Golden rung for the steady fleet: every ServeCounters field, verdict hash
+// included, of the three runs `bench/serve --quick` makes (256 hosts, 60
+// ticks, the default seed), as recorded values. Work on the serving
+// pipeline must leave every one unchanged; the failure message prints the
+// new text for a deliberate re-record.
+
+std::string counter_text(const serve::ServeCounters& c) {
+  std::ostringstream os;
+  os << "hosts=" << c.hosts << " ticks=" << c.ticks << " shards=" << c.shards
+     << " offered=" << c.offered << " missing=" << c.missing
+     << " emitted=" << c.emitted << " admitted=" << c.admitted
+     << " shed=" << c.shed << " batches=" << c.batches
+     << " scored_rows=" << c.scored_rows
+     << " straggler_batches=" << c.straggler_batches
+     << " hedges_launched=" << c.hedges_launched
+     << " alarms_raised=" << c.alarms_raised
+     << " alarmed_hosts=" << c.alarmed_hosts
+     << " malware_hosts=" << c.malware_hosts
+     << " campaign_hosts=" << c.campaign_hosts
+     << " drift_checks=" << c.drift_checks
+     << " drift_triggers=" << c.drift_triggers
+     << " drift_trigger_tick=" << c.drift_trigger_tick
+     << " drift_tripped_shards=" << c.drift_tripped_shards
+     << " model_swaps=" << c.model_swaps
+     << " model_swap_tick=" << c.model_swap_tick
+     << " retrain_base_rows=" << c.retrain_base_rows
+     << " retrain_window_rows=" << c.retrain_window_rows
+     << " final_model_epoch=" << c.final_model_epoch << std::hex
+     << " verdict_hash=" << c.verdict_hash;
+  return os.str();
+}
+
+/// bench/serve's --quick fleet.
+const serve::FleetSetup& quick_bench_fleet() {
+  static const serve::FleetSetup fleet = [] {
+    serve::FleetConfig fc;
+    fc.hosts = 256;
+    fc.ticks = 60;
+    fc.threads = 2;
+    return serve::make_fleet(fc);
+  }();
+  return fleet;
+}
+
+serve::ServeConfig quick_bench_serve() {
+  serve::ServeConfig cfg;
+  cfg.threads = 2;
+  cfg.record_verdicts = false;
+  return cfg;
+}
+
+/// Recorded values: the batched and unbatched runs share one stream.
+constexpr const char* kQuickSteadyCounters =
+    "hosts=256 ticks=60 shards=8 offered=15360 missing=175 "
+    "emitted=15185 admitted=15185 shed=0 batches=480 "
+    "scored_rows=15185 straggler_batches=0 hedges_launched=0 "
+    "alarms_raised=232 alarmed_hosts=173 malware_hosts=71 "
+    "campaign_hosts=0 drift_checks=0 drift_triggers=0 "
+    "drift_trigger_tick=0 drift_tripped_shards=0 model_swaps=0 "
+    "model_swap_tick=0 retrain_base_rows=0 retrain_window_rows=0 "
+    "final_model_epoch=0 verdict_hash=ab2e6abc5f4a5ecd";
+constexpr const char* kQuickOverloadedCounters =
+    "hosts=256 ticks=60 shards=8 offered=15360 missing=175 "
+    "emitted=15185 admitted=9283 shed=5902 batches=480 "
+    "scored_rows=9283 straggler_batches=0 hedges_launched=0 "
+    "alarms_raised=144 alarmed_hosts=111 malware_hosts=71 "
+    "campaign_hosts=0 drift_checks=0 drift_triggers=0 "
+    "drift_trigger_tick=0 drift_tripped_shards=0 model_swaps=0 "
+    "model_swap_tick=0 retrain_base_rows=0 retrain_window_rows=0 "
+    "final_model_epoch=0 verdict_hash=80803ceb83f9b5e1";
+
+TEST(GoldenServe, BatchedRunMatchesRecordedCounters) {
+  const auto r = serve::run_fleet(quick_bench_fleet(), quick_bench_serve());
+  EXPECT_EQ(counter_text(r.counters), kQuickSteadyCounters);
+}
+
+TEST(GoldenServe, UnbatchedRunMatchesRecordedCounters) {
+  serve::ServeConfig cfg = quick_bench_serve();
+  cfg.batched = false;
+  const auto r = serve::run_fleet(quick_bench_fleet(), cfg);
+  EXPECT_EQ(counter_text(r.counters), kQuickSteadyCounters);
+}
+
+TEST(GoldenServe, OverloadedRunMatchesRecordedCounters) {
+  serve::ServeConfig cfg = quick_bench_serve();
+  cfg.admit_per_tick = 256 * 6 / 10;  // bench/serve: 60% of the fleet
+  cfg.admit_burst = 256;
+  const auto r = serve::run_fleet(quick_bench_fleet(), cfg);
+  EXPECT_EQ(counter_text(r.counters), kQuickOverloadedCounters);
 }
 
 // ---------------------------------------------------------------------------
