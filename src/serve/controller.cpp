@@ -4,6 +4,7 @@
 #include <atomic>
 #include <bit>
 #include <chrono>
+#include <deque>
 #include <exception>
 #include <memory>
 #include <optional>
@@ -40,31 +41,29 @@ bool harvest_keep(std::uint64_t seed, std::uint32_t host, std::uint32_t tick,
   return static_cast<double>(v >> 11) * 0x1.0p-53 < keep_prob;
 }
 
-/// One unit of work: a (tick, shard) batch.
+/// One unit of work: one worker's shards of one tick.
 struct Task {
   std::uint32_t tick = 0;
-  std::uint32_t shard = 0;
   /// Inference engine of the model epoch current at DISPATCH time. Bound
   /// by the controller, on the virtual tick clock — a late-executing task
   /// still scores with the epoch its tick belongs to, which is what keeps
   /// verdict streams bit-identical across worker counts through a
   /// hot-swap. Points into run_fleet-owned storage that outlives workers.
   const ml::InferenceBackend* backend = nullptr;
-  /// Row-major features of the *scored* hosts of the shard, in shard host
-  /// order.
+  /// Row-major features of the *scored* hosts of the worker's shards:
+  /// shards ascending, each in shard host order.
   std::vector<double> rows;
-  /// Outcome per shard host (parallel to the shard's host list).
+  /// Outcome per host of the worker's shards, in the same order.
   std::vector<SampleOutcome> outcomes;
-  double created_us = 0.0;  ///< batch assembly start (e2e anchor)
+  double created_us = 0.0;  ///< tick assembly start (e2e anchor)
   double enqueue_us = 0.0;  ///< queue-wait anchor
 };
 
-/// A worker's finished batch, bound for the collector.
+/// A worker's finished task, bound for the collector.
 struct Chunk {
   std::uint32_t tick = 0;
-  std::uint32_t shard = 0;
   std::vector<ServeVerdict> verdicts;
-  std::uint64_t alarms = 0;  ///< false->true transitions in this batch
+  std::uint64_t alarms = 0;  ///< false->true transitions in this task
   std::uint64_t scored = 0;  ///< rows scored (== admitted hosts)
   double queue_us = 0.0;
   double score_us = 0.0;
@@ -72,10 +71,13 @@ struct Chunk {
   double e2e_us = 0.0;
 };
 
-}  // namespace
+constexpr std::uint64_t kFnvOffsetBasis = 0xcbf29ce484222325ULL;
 
-std::uint64_t verdict_stream_hash(const std::vector<ServeVerdict>& verdicts) {
-  std::uint64_t h = 0xcbf29ce484222325ULL;  // FNV-1a 64 offset basis
+/// Folds verdicts, in order, into a running FNV-1a 64 hash of their
+/// canonical byte serialisation. The one hash routine: the collector folds
+/// the stream tick by tick, verdict_stream_hash folds a whole stream.
+std::uint64_t fnv_fold(std::uint64_t h,
+                       std::span<const ServeVerdict> verdicts) {
   const auto mix = [&h](std::uint64_t v, unsigned bytes) {
     for (unsigned b = 0; b < bytes; ++b) {
       h ^= (v >> (8 * b)) & 0xFFU;
@@ -93,6 +95,12 @@ std::uint64_t verdict_stream_hash(const std::vector<ServeVerdict>& verdicts) {
     mix(std::bit_cast<std::uint64_t>(v.ewma), 8);
   }
   return h;
+}
+
+}  // namespace
+
+std::uint64_t verdict_stream_hash(const std::vector<ServeVerdict>& verdicts) {
+  return fnv_fold(kFnvOffsetBasis, verdicts);
 }
 
 ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
@@ -122,9 +130,11 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     shard_hosts[h % num_shards].push_back(h);
   std::vector<std::vector<core::OnlineState>> state(num_shards);
   std::vector<std::vector<std::uint8_t>> ever_alarmed(num_shards);
+  std::vector<std::size_t> worker_hosts(workers, 0);
   for (std::size_t s = 0; s < num_shards; ++s) {
     state[s].resize(shard_hosts[s].size());
     ever_alarmed[s].assign(shard_hosts[s].size(), 0);
+    worker_hosts[s % workers] += shard_hosts[s].size();
   }
 
   std::vector<std::unique_ptr<support::BoundedQueue<Task>>> task_q;
@@ -138,22 +148,55 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   ServeCounters& counters = report.counters;
   ServeTiming& timing = report.timing;
   std::vector<ServeVerdict> verdicts;
-  verdicts.reserve(static_cast<std::size_t>(hosts) * ticks);
+  if (cfg.record_verdicts)
+    verdicts.reserve(static_cast<std::size_t>(hosts) * ticks);
+  std::uint64_t verdict_hash = kFnvOffsetBasis;
 
   const double t_start = now_us();
 
-  // Collector: drains result chunks. Sole owner of `timing`/`verdicts`
-  // (and the chunk-summed counters) until joined.
+  // Collector: drains result chunks into a reorder buffer keyed by tick.
+  // Each worker's chunks arrive in tick order and every tick needs one
+  // chunk from every worker, so ticks complete in tick order; a complete
+  // tick, scattered into host order, is folded into the hash (and kept
+  // only when recording). Sole owner of `timing`, `verdicts`,
+  // `verdict_hash` and the chunk-summed counters until joined.
   std::thread collector([&] {
+    struct PendingTick {
+      std::vector<ServeVerdict> by_host;
+      std::size_t chunks = 0;
+    };
+    std::deque<PendingTick> pending;  // front is tick `next_tick`
+    std::vector<std::vector<ServeVerdict>> spare;
+    std::uint32_t next_tick = 0;
     while (std::optional<Chunk> c = result_q.pop()) {
       timing.queue.add(c->queue_us);
       timing.score.add(c->score_us);
       timing.step.add(c->step_us);
       timing.e2e.add(c->e2e_us);
-      ++counters.batches;
       counters.scored_rows += c->scored;
       counters.alarms_raised += c->alarms;
-      verdicts.insert(verdicts.end(), c->verdicts.begin(), c->verdicts.end());
+      const std::size_t slot = c->tick - next_tick;
+      while (pending.size() <= slot) {
+        PendingTick& p = pending.emplace_back();
+        if (!spare.empty()) {
+          p.by_host = std::move(spare.back());
+          spare.pop_back();
+        } else {
+          p.by_host.resize(hosts);
+        }
+      }
+      PendingTick& p = pending[slot];
+      for (const ServeVerdict& v : c->verdicts) p.by_host[v.host] = v;
+      ++p.chunks;
+      while (!pending.empty() && pending.front().chunks == workers) {
+        std::vector<ServeVerdict>& done = pending.front().by_host;
+        verdict_hash = fnv_fold(verdict_hash, done);
+        if (cfg.record_verdicts)
+          verdicts.insert(verdicts.end(), done.begin(), done.end());
+        spare.push_back(std::move(done));
+        pending.pop_front();
+        ++next_tick;
+      }
     }
   });
 
@@ -174,9 +217,9 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   }
   std::atomic<std::uint64_t> completed{0};
 
-  // Workers: score whole batches, step the owned shards' automata. The
-  // engine comes from the task (the model epoch bound at dispatch), never
-  // from shared mutable state.
+  // Workers: score a task's rows in one call, then step its shards'
+  // automata shard by shard. The engine comes from the task (the model
+  // epoch bound at dispatch), never from shared mutable state.
   const auto score_batch = [&](const ml::InferenceBackend& backend,
                                const std::vector<double>& rows,
                                std::vector<double>& out) {
@@ -206,31 +249,33 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
 
         Chunk c;
         c.tick = task.tick;
-        c.shard = task.shard;
         c.verdicts.reserve(task.outcomes.size());
-        std::vector<core::OnlineState>& st = state[task.shard];
-        std::vector<std::uint8_t>& ever = ever_alarmed[task.shard];
-        std::size_t k = 0;  // cursor into the batch's scored rows
-        for (std::size_t i = 0; i < task.outcomes.size(); ++i) {
-          const bool was = st[i].alarmed();
-          core::Verdict v;
-          if (task.outcomes[i] == SampleOutcome::kScored) {
-            const double sc = scores[k++];
-            // Shard windows fill in FIFO tick order by the single owning
-            // worker — the deterministic observation sequence the drift
-            // detector's purity contract rests on.
-            if (drift_on) windows[task.shard].observe(sc);
-            v = st[i].step_score(cfg.online, sc);
-          } else {
-            v = st[i].step_missing(cfg.online);
+        std::size_t i = 0;  // cursor into the task's hosts
+        std::size_t k = 0;  // cursor into the task's scored rows
+        for (std::size_t s = w; s < num_shards; s += workers) {
+          std::vector<core::OnlineState>& st = state[s];
+          std::vector<std::uint8_t>& ever = ever_alarmed[s];
+          for (std::size_t j = 0; j < st.size(); ++j, ++i) {
+            const bool was = st[j].alarmed();
+            core::Verdict v;
+            if (task.outcomes[i] == SampleOutcome::kScored) {
+              const double sc = scores[k++];
+              // Shard windows fill in FIFO tick order by the single owning
+              // worker — the deterministic observation sequence the drift
+              // detector's purity contract rests on.
+              if (drift_on) windows[s].observe(sc);
+              v = st[j].step_score(cfg.online, sc);
+            } else {
+              v = st[j].step_missing(cfg.online);
+            }
+            if (!was && st[j].alarmed()) {
+              ++c.alarms;
+              ever[j] = 1;
+            }
+            c.verdicts.push_back({task.tick, shard_hosts[s][j], v.score,
+                                  v.ewma, task.outcomes[i], v.alarm,
+                                  v.stale});
           }
-          if (!was && st[i].alarmed()) {
-            ++c.alarms;
-            ever[i] = 1;
-          }
-          c.verdicts.push_back({task.tick, shard_hosts[task.shard][i],
-                                v.score, v.ewma, task.outcomes[i], v.alarm,
-                                v.stale});
         }
         c.scored = k;
         const double done_us = now_us();
@@ -249,9 +294,9 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     });
   }
 
-  // Controller (this thread): the single producer. Admission, drops, batch
-  // and assembly all happen here, on the virtual
-  // tick clock, in (tick, shard, host) order — the deterministic domain.
+  // Controller (this thread): the single producer. Admission, drops,
+  // harvest and tick assembly all happen here, on the virtual tick clock,
+  // in (tick, shard, host) order — the deterministic domain.
   const std::uint64_t admit_cap =
       cfg.admit_burst > 0 ? cfg.admit_burst : cfg.admit_per_tick;
   std::optional<TokenBucket> bucket;
@@ -275,8 +320,8 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   std::uint64_t model_swaps = 0;
   std::uint64_t model_swap_tick = 0;
 
-  // Pipeline-drain barrier: every dispatched batch stepped and its shard
-  // window published. Only used at drift checks.
+  // Pipeline-drain barrier: every dispatched task stepped and its shards'
+  // windows published. Only used at drift checks.
   const auto drain_pipeline = [&] {
     std::uint64_t done = completed.load(std::memory_order_acquire);
     while (done != dispatched) {
@@ -326,25 +371,34 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
       }
     }
     if (bucket && tick > 0) bucket->refill();  // the bucket starts full
+    // Assemble the whole tick, one task per worker. Shards are visited in
+    // ascending order whatever the worker count: that order drives
+    // admission, drops and the harvest, so it must not depend on which
+    // worker a shard goes to.
+    const double t0 = now_us();
+    std::vector<Task> tasks(workers);
+    for (std::size_t w = 0; w < workers; ++w) {
+      tasks[w].tick = tick;
+      tasks[w].backend = current_backend;
+      tasks[w].rows.reserve(worker_hosts[w] * nf);
+      tasks[w].outcomes.reserve(worker_hosts[w]);
+      tasks[w].created_us = t0;
+    }
     for (std::uint32_t s = 0; s < num_shards; ++s) {
-      const double t0 = now_us();
-      const std::vector<std::uint32_t>& members = shard_hosts[s];
-      std::vector<double> rows;
-      rows.reserve(members.size() * nf);
-      std::vector<SampleOutcome> outcomes(members.size(),
-                                          SampleOutcome::kScored);
-      for (std::size_t i = 0; i < members.size(); ++i) {
-        const std::uint32_t h = members[i];
+      Task& task = tasks[s % workers];
+      std::vector<double>& rows = task.rows;
+      for (const std::uint32_t h : shard_hosts[s]) {
         if (sample_dropped(fleet, h, tick)) {
-          outcomes[i] = SampleOutcome::kMissing;
+          task.outcomes.push_back(SampleOutcome::kMissing);
           ++missing;
           continue;
         }
         if (bucket && bucket->take(1) == 0) {
-          outcomes[i] = SampleOutcome::kShed;
+          task.outcomes.push_back(SampleOutcome::kShed);
           ++shed;
           continue;
         }
+        task.outcomes.push_back(SampleOutcome::kScored);
         ++admitted;
         const std::size_t at = rows.size();
         rows.resize(at + nf);
@@ -362,21 +416,14 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
           harvest_labels.push_back(host_infected(fleet, h, tick) ? 1 : 0);
         }
       }
-
-      Task task;
-      task.tick = tick;
-      task.shard = s;
-      task.backend = current_backend;
-      task.rows = std::move(rows);
-      task.outcomes = std::move(outcomes);
-      task.created_us = t0;
-      gen_stats.add(now_us() - t0);
-      task.enqueue_us = now_us();
+    }
+    gen_stats.add(now_us() - t0);
+    for (std::size_t w = 0; w < workers; ++w) {
+      tasks[w].enqueue_us = now_us();
       ++dispatched;
-      const std::size_t w = s % workers;
-      if (!task_q[w]->try_push(task)) {
+      if (!task_q[w]->try_push(tasks[w])) {
         ++stalls;  // backpressure: a full queue stalls the controller
-        task_q[w]->push(std::move(task));
+        task_q[w]->push(std::move(tasks[w]));
       }
     }
 
@@ -450,14 +497,6 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     std::rethrow_exception(retrain_shared->error);
   const double t_end = now_us();
 
-  // The stream is assembled in completion order (worker- and
-  // timing-dependent); sorting by (tick, host) restores the canonical
-  // order every configuration shares.
-  std::sort(verdicts.begin(), verdicts.end(),
-            [](const ServeVerdict& a, const ServeVerdict& b) {
-              return a.tick != b.tick ? a.tick < b.tick : a.host < b.host;
-            });
-
   counters.hosts = hosts;
   counters.ticks = ticks;
   counters.shards = num_shards;
@@ -466,6 +505,7 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   counters.emitted = counters.offered - missing;
   counters.admitted = admitted;
   counters.shed = shed;
+  counters.batches = static_cast<std::uint64_t>(ticks) * num_shards;
   counters.malware_hosts = fleet.malware_hosts;
   counters.campaign_hosts = fleet.campaign_hosts;
   for (const auto& flags : ever_alarmed)
@@ -485,7 +525,7 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
     report.refit_model = retrain_shared->out.model;
   }
   counters.final_model_epoch = current_epoch;
-  counters.verdict_hash = verdict_stream_hash(verdicts);
+  counters.verdict_hash = verdict_hash;
 
   timing.gen = gen_stats;
   timing.wall_ms = (t_end - t_start) / 1000.0;
@@ -496,7 +536,7 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   timing.backpressure_stalls = stalls;
   timing.barrier_ms = barrier_us / 1000.0;
 
-  if (cfg.record_verdicts) report.verdicts = std::move(verdicts);
+  report.verdicts = std::move(verdicts);
   return report;
 }
 

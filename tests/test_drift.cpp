@@ -328,10 +328,19 @@ void expect_same_reports(const serve::ServeReport& a,
                          const serve::ServeReport& b) {
   const serve::ServeCounters& ca = a.counters;
   const serve::ServeCounters& cb = b.counters;
+  EXPECT_EQ(ca.hosts, cb.hosts);
+  EXPECT_EQ(ca.ticks, cb.ticks);
+  EXPECT_EQ(ca.shards, cb.shards);
+  EXPECT_EQ(ca.offered, cb.offered);
   EXPECT_EQ(ca.missing, cb.missing);
+  EXPECT_EQ(ca.emitted, cb.emitted);
   EXPECT_EQ(ca.admitted, cb.admitted);
+  EXPECT_EQ(ca.shed, cb.shed);
+  EXPECT_EQ(ca.batches, cb.batches);
+  EXPECT_EQ(ca.scored_rows, cb.scored_rows);
   EXPECT_EQ(ca.alarms_raised, cb.alarms_raised);
   EXPECT_EQ(ca.alarmed_hosts, cb.alarmed_hosts);
+  EXPECT_EQ(ca.malware_hosts, cb.malware_hosts);
   EXPECT_EQ(ca.campaign_hosts, cb.campaign_hosts);
   EXPECT_EQ(ca.drift_checks, cb.drift_checks);
   EXPECT_EQ(ca.drift_triggers, cb.drift_triggers);
@@ -351,6 +360,7 @@ void expect_same_reports(const serve::ServeReport& a,
     ASSERT_EQ(va.host, vb.host);
     ASSERT_EQ(va.outcome, vb.outcome);
     ASSERT_EQ(va.alarm, vb.alarm);
+    ASSERT_EQ(va.stale, vb.stale);
     // Exact bits, not a tolerance: the determinism contract holds straight
     // through the drift trigger and the mid-run hot-swap.
     ASSERT_EQ(std::bit_cast<std::uint64_t>(va.score),
@@ -362,12 +372,15 @@ void expect_same_reports(const serve::ServeReport& a,
 
 TEST(ServeDrift, TriggerRetrainAndSwapAreDeterministicAcrossThreads) {
   const serve::FleetSetup& fleet = shared_drift_fleet();
-  serve::ServeConfig one = drift_config();
-  serve::ServeConfig three = drift_config();
-  three.threads = 3;
-  const auto a = serve::run_fleet(fleet, one);
-  const auto b = serve::run_fleet(fleet, three);
-  expect_same_reports(a, b);
+  const auto a = serve::run_fleet(fleet, drift_config());
+  // 5 shards is a multiple of none of these worker counts, so workers own
+  // unequal shard sets: the harvest order must follow the shards.
+  for (const std::size_t workers : {2u, 3u, 4u}) {
+    SCOPED_TRACE(workers);
+    serve::ServeConfig cfg = drift_config();
+    cfg.threads = workers;
+    expect_same_reports(a, serve::run_fleet(fleet, cfg));
+  }
 
   const serve::ServeCounters& c = a.counters;
   EXPECT_EQ(c.campaign_hosts, 15u);

@@ -524,15 +524,22 @@ void expect_same_verdicts(const std::vector<serve::ServeVerdict>& a,
   }
 }
 
+// Worker counts 2, 3 and 4 against 1. The 5 shards are a multiple of none
+// of them, so workers own unequal shard sets: a tick's assembly order
+// (admission, drops) must follow the shards, not the workers.
+constexpr std::size_t kWorkerCounts[] = {2, 3, 4};
+
 TEST(ServeFleet, BitIdenticalAcrossWorkerCounts) {
   const serve::FleetSetup& fleet = shared_fleet();
-  serve::ServeConfig one = base_config();
-  serve::ServeConfig three = base_config();
-  three.threads = 3;
-  const auto a = serve::run_fleet(fleet, one);
-  const auto b = serve::run_fleet(fleet, three);
-  expect_same_counters(a.counters, b.counters);
-  expect_same_verdicts(a.verdicts, b.verdicts);
+  const auto a = serve::run_fleet(fleet, base_config());
+  for (const std::size_t workers : kWorkerCounts) {
+    SCOPED_TRACE(workers);
+    serve::ServeConfig cfg = base_config();
+    cfg.threads = workers;
+    const auto b = serve::run_fleet(fleet, cfg);
+    expect_same_counters(a.counters, b.counters);
+    expect_same_verdicts(a.verdicts, b.verdicts);
+  }
 }
 
 TEST(ServeFleet, BatchedAndUnbatchedScoringAgreeBitForBit) {
@@ -612,11 +619,14 @@ TEST(ServeFleet, AdmissionShedsDeterministicallyUnderOverload) {
   EXPECT_EQ(shed_seen, a.counters.shed);
 
   // The admitted/shed partition is part of the deterministic domain.
-  serve::ServeConfig threaded = cfg;
-  threaded.threads = 3;
-  const auto b = serve::run_fleet(fleet, threaded);
-  expect_same_counters(a.counters, b.counters);
-  expect_same_verdicts(a.verdicts, b.verdicts);
+  for (const std::size_t workers : kWorkerCounts) {
+    SCOPED_TRACE(workers);
+    serve::ServeConfig threaded = cfg;
+    threaded.threads = workers;
+    const auto b = serve::run_fleet(fleet, threaded);
+    expect_same_counters(a.counters, b.counters);
+    expect_same_verdicts(a.verdicts, b.verdicts);
+  }
 }
 
 // ---------------------------------------------------------------------------
