@@ -17,10 +17,12 @@
 // value) and say so.
 //
 // HlsRun is no golden: it compiles the generated C of the 18 HLS cells,
-// runs it on the test split and the boundary probes, and requires every
+// runs it on the test split, the boundary probes and, for every JRip rule
+// bound, probes on a row where that rule decides, and requires every
 // decision to equal FixedPointBackend's.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
@@ -28,6 +30,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <optional>
 #include <ostream>
 #include <sstream>
 #include <string>
@@ -537,22 +540,112 @@ TEST(GoldenFlat, RandomForestMatchesRecordedProbeHash) {
 // ---------------------------------------------------------------------------
 // The generated HLS C, compiled and run on probes.
 
+/// The value one Q(fraction_bits) LSB away from `value`'s encoding
+/// (`lsb` = -1 or +1).
+double lsb_step(double value, double lsb, int fraction_bits) {
+  const std::int32_t q = analysis::fixed_point_encode(value, fraction_bits);
+  return (static_cast<double>(q) + lsb) / std::ldexp(1.0, fraction_bits);
+}
+
+void collect_rule_lists(const ml::ModelIr& ir,
+                        std::vector<const ml::RuleListIr*>& lists) {
+  if (const auto* rules = std::get_if<ml::RuleListIr>(&ir.structure)) {
+    lists.push_back(rules);
+  } else if (const auto* ens = std::get_if<ml::EnsembleIr>(&ir.structure)) {
+    for (const ml::ModelIr& member : ens->members)
+      collect_rule_lists(member, lists);
+  }
+}
+
+/// A row on which rule `r` of `list` decides: every condition of `r` holds
+/// (constrained features sit on their tightest bound) and every earlier
+/// rule fails, through a feature `r` leaves free pushed past all of that
+/// feature's bounds. nullopt when the earlier rules cannot all be failed
+/// that way.
+std::optional<std::vector<double>> rule_deciding_row(
+    const ml::RuleListIr& list, std::size_t r, std::vector<double> row) {
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const std::size_t nf = row.size();
+  std::vector<double> lo(nf, -kInf), hi(nf, kInf);
+  std::vector<double> min_bound(nf, kInf), max_bound(nf, -kInf);
+  for (const ml::RuleIr& rule : list.rules)
+    for (const ml::RuleConditionIr& c : rule.conditions) {
+      min_bound[c.feature] = std::min(min_bound[c.feature], c.value);
+      max_bound[c.feature] = std::max(max_bound[c.feature], c.value);
+    }
+  for (const ml::RuleConditionIr& c : list.rules[r].conditions) {
+    if (c.leq) hi[c.feature] = std::min(hi[c.feature], c.value);
+    else lo[c.feature] = std::max(lo[c.feature], c.value);
+  }
+  // +1: pushed above every bound (fails all `<=`), -1: below (fails `>=`).
+  std::vector<int> push(nf, 0);
+  for (std::size_t f = 0; f < nf; ++f) {
+    if (lo[f] > hi[f]) return std::nullopt;  // the rule can never fire
+    if (lo[f] > -kInf) row[f] = lo[f];
+    else if (hi[f] < kInf) row[f] = hi[f];
+  }
+  const auto free = [&](std::size_t f) {
+    return lo[f] == -kInf && hi[f] == kInf;
+  };
+  for (std::size_t k = 0; k < r; ++k) {
+    bool failed = false;
+    for (const ml::RuleConditionIr& c : list.rules[k].conditions)
+      failed = failed || push[c.feature] == (c.leq ? 1 : -1);
+    for (const ml::RuleConditionIr& c : list.rules[k].conditions) {
+      if (failed) break;
+      if (!free(c.feature) || push[c.feature] != 0) continue;
+      push[c.feature] = c.leq ? 1 : -1;
+      failed = true;
+    }
+    if (!failed) return std::nullopt;
+  }
+  for (std::size_t f = 0; f < nf; ++f) {
+    if (push[f] > 0) row[f] = max_bound[f] + 1.0;
+    if (push[f] < 0) row[f] = min_bound[f] - 1.0;
+  }
+  return row;
+}
+
 /// boundary_probes plus, for every cut, two copies of a test row with that
 /// feature one LSB either side of the cut's Q(fraction_bits) encoding.
+/// Then, for every rule condition of every rule list, the same five values
+/// of the condition's feature on a row where that rule decides: a probe
+/// from an arbitrary test row reaches a rule bound only when the row
+/// already satisfies the rest of the antecedent and no earlier rule fires.
 std::vector<double> hls_probes(const ml::ModelIr& ir, const ml::Dataset& test,
                                int fraction_bits) {
   std::vector<double> x = boundary_probes(ir, test);
   std::vector<std::pair<std::size_t, double>> cuts;
   collect_cuts(ir, cuts);
-  const double scale = std::ldexp(1.0, fraction_bits);
   for (std::size_t k = 0; k < cuts.size(); ++k) {
     const auto [feature, value] = cuts[k];
-    const std::int32_t q = analysis::fixed_point_encode(value, fraction_bits);
     for (const double lsb : {-1.0, 1.0}) {
       const auto row = test.row(k % test.num_rows());
       std::vector<double> probe(row.begin(), row.end());
-      probe[feature] = (static_cast<double>(q) + lsb) / scale;
+      probe[feature] = lsb_step(value, lsb, fraction_bits);
       x.insert(x.end(), probe.begin(), probe.end());
+    }
+  }
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  std::vector<const ml::RuleListIr*> lists;
+  collect_rule_lists(ir, lists);
+  const auto base = test.row(0);
+  for (const ml::RuleListIr* list : lists) {
+    for (std::size_t r = 0; r < list->rules.size(); ++r) {
+      const auto row = rule_deciding_row(
+          *list, r, std::vector<double>(base.begin(), base.end()));
+      if (!row) continue;
+      for (const ml::RuleConditionIr& c : list->rules[r].conditions) {
+        for (const double v :
+             {c.value, std::nextafter(c.value, -kInf),
+              std::nextafter(c.value, kInf),
+              lsb_step(c.value, -1.0, fraction_bits),
+              lsb_step(c.value, 1.0, fraction_bits)}) {
+          std::vector<double> probe = *row;
+          probe[c.feature] = v;
+          x.insert(x.end(), probe.begin(), probe.end());
+        }
+      }
     }
   }
   return x;
