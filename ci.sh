@@ -39,13 +39,14 @@
 #   8. Serving leg (5): bench/serve --quick runs under TSan (the
 #      controller/worker/collector pipeline is the most lock-dense code in
 #      the tree), then the Release tree proves the determinism contract —
-#      1-thread and 4-thread verdict streams byte-identical, per-run
-#      counters JSON-identical, and batched scoring at least as fast as
-#      unbatched.
+#      1-, 3- and 4-thread verdict streams byte-identical (3 workers do
+#      not divide the 8 quick shards), per-run counters JSON-identical,
+#      and batched scoring at least as fast as unbatched.
 #   8b. Benchmark leg (1g, Release): the repository benchmark's harness
 #      (perfbench/) builds into .bench_build, its arithmetic tests pass,
-#      and one short fleet_drift run must report correct: true with zero
-#      failed operations — the setup-repeat and verdict-hash checks.
+#      and one short fleet_drift and one short fleet_steady run must each
+#      report correct: true with zero failed operations — the
+#      setup-repeat and verdict-hash checks.
 #   9. Drift leg (6): bench/drift --quick runs the drift-aware refresh
 #      pipeline under ASan/UBSan (harvest, background retrain, hot-swap)
 #      with the detection/recovery assertions checked from the JSON, and
@@ -231,24 +232,27 @@ else
   echo "clang++ not installed; skipping thread-safety leg"
 fi
 
-echo "=== [1g] perfbench: harness tests + a short fleet_drift run ==="
+echo "=== [1g] perfbench: harness tests + short fleet_drift/fleet_steady runs ==="
 # The benchmark checks its own outputs (setup repeats agree, verdict hashes
 # agree across passes); a run that fails them reports correct: false.
 cmake -S perfbench -B .bench_build -DCMAKE_BUILD_TYPE=Release
 cmake --build .bench_build --target perfbench perfbench_tests -j "${JOBS}"
 ./.bench_build/perfbench_tests
-python3 perfbench/run.py --workload fleet_drift --seed 1 --seconds 1 \
-  --trace 0 > .bench_build/ci-fleet-drift.txt
-python3 - <<'EOF'
-import json
-with open(".bench_build/ci-fleet-drift.txt") as f:
+for workload in fleet_drift fleet_steady; do
+  python3 perfbench/run.py --workload "${workload}" --seed 1 --seconds 1 \
+    --trace 0 > ".bench_build/ci-${workload}.txt"
+  WORKLOAD="${workload}" python3 - <<'EOF'
+import json, os
+workload = os.environ["WORKLOAD"]
+with open(f".bench_build/ci-{workload}.txt") as f:
     last = f.read().strip().splitlines()[-1]
 result = json.loads(last)
 assert result["correct"] is True, result
 assert result["failed"] == 0, result
-print(f"perfbench OK: fleet_drift correct, {result['attempted']} operations, "
+print(f"perfbench OK: {workload} correct, {result['attempted']} operations, "
       f"0 failed")
 EOF
+done
 
 echo "=== [2/4] Debug + HMD_SANITIZE=address;undefined ==="
 cmake -B build-ci-asan -S . \
@@ -354,30 +358,36 @@ TSAN_OPTIONS="halt_on_error=1" \
   ./build-ci-tsan/bench/serve --quick --hosts 96 --duration-ms 300 \
     --threads 4 --out build-ci-tsan/BENCH_serve.json
 # Determinism contract (Release tree): verdict streams byte-identical and
-# counters JSON-identical across worker counts, under a fixed seed.
+# counters JSON-identical across worker counts, under a fixed seed. 3
+# workers own unequal shard sets of the 8 quick shards, so a tick's
+# assembly order cannot hide behind an even split.
 (
   cd build-ci-release
-  rm -f serve-t1.json serve-t4.json serve-verdicts-t1.txt serve-verdicts-t4.txt
-  ./bench/serve --quick --threads 1 \
-    --out serve-t1.json --verdicts serve-verdicts-t1.txt
-  ./bench/serve --quick --threads 4 \
-    --out serve-t4.json --verdicts serve-verdicts-t4.txt
+  for t in 1 3 4; do
+    rm -f "serve-t${t}.json" "serve-verdicts-t${t}.txt"
+    ./bench/serve --quick --threads "${t}" \
+      --out "serve-t${t}.json" --verdicts "serve-verdicts-t${t}.txt"
+  done
+  diff serve-verdicts-t1.txt serve-verdicts-t3.txt
   diff serve-verdicts-t1.txt serve-verdicts-t4.txt
-  echo "serve OK: 1-thread and 4-thread verdict streams byte-identical"
+  echo "serve OK: 1-, 3- and 4-thread verdict streams byte-identical"
 )
 if command -v python3 >/dev/null 2>&1; then
   python3 - <<'EOF'
 import json
 with open("build-ci-release/serve-t1.json") as f:
     t1 = json.load(f)
+with open("build-ci-release/serve-t3.json") as f:
+    t3 = json.load(f)
 with open("build-ci-release/serve-t4.json") as f:
     t4 = json.load(f)
 assert t1["bench"] == "serve", t1
 assert t1["verdicts_match"] is True, "batched/unbatched verdicts diverge"
 assert t1["batched_speedup"] >= 1.0, t1["batched_speedup"]
 for run in ("batched", "unbatched", "overloaded"):
-    assert t1[run]["counters"] == t4[run]["counters"], (
-        run, t1[run]["counters"], t4[run]["counters"])
+    for other in (t3, t4):
+        assert t1[run]["counters"] == other[run]["counters"], (
+            run, t1[run]["counters"], other[run]["counters"])
 over = t1["overloaded"]["counters"]
 assert over["shed"] > 0, "overloaded run shed nothing"
 assert over["admitted"] + over["shed"] == over["emitted"], over

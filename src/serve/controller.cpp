@@ -161,12 +161,9 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
   // only when recording). Sole owner of `timing`, `verdicts`,
   // `verdict_hash` and the chunk-summed counters until joined.
   std::thread collector([&] {
-    struct PendingTick {
-      std::vector<ServeVerdict> by_host;
-      std::size_t chunks = 0;
-    };
-    std::deque<PendingTick> pending;  // front is tick `next_tick`
-    std::vector<std::vector<ServeVerdict>> spare;
+    // pending[i]: the chunks of tick next_tick + i received so far.
+    std::deque<std::vector<Chunk>> pending;
+    std::vector<ServeVerdict> tick_verdicts(hosts);
     std::uint32_t next_tick = 0;
     while (std::optional<Chunk> c = result_q.pop()) {
       timing.queue.add(c->queue_us);
@@ -176,24 +173,15 @@ ServeReport run_fleet(const FleetSetup& fleet, const ServeConfig& cfg) {
       counters.scored_rows += c->scored;
       counters.alarms_raised += c->alarms;
       const std::size_t slot = c->tick - next_tick;
-      while (pending.size() <= slot) {
-        PendingTick& p = pending.emplace_back();
-        if (!spare.empty()) {
-          p.by_host = std::move(spare.back());
-          spare.pop_back();
-        } else {
-          p.by_host.resize(hosts);
-        }
-      }
-      PendingTick& p = pending[slot];
-      for (const ServeVerdict& v : c->verdicts) p.by_host[v.host] = v;
-      ++p.chunks;
-      while (!pending.empty() && pending.front().chunks == workers) {
-        std::vector<ServeVerdict>& done = pending.front().by_host;
-        verdict_hash = fnv_fold(verdict_hash, done);
+      if (pending.size() <= slot) pending.resize(slot + 1);
+      pending[slot].push_back(std::move(*c));
+      while (!pending.empty() && pending.front().size() == workers) {
+        for (const Chunk& done : pending.front())
+          for (const ServeVerdict& v : done.verdicts) tick_verdicts[v.host] = v;
+        verdict_hash = fnv_fold(verdict_hash, tick_verdicts);
         if (cfg.record_verdicts)
-          verdicts.insert(verdicts.end(), done.begin(), done.end());
-        spare.push_back(std::move(done));
+          verdicts.insert(verdicts.end(), tick_verdicts.begin(),
+                          tick_verdicts.end());
         pending.pop_front();
         ++next_tick;
       }

@@ -6,28 +6,35 @@
 // branch-free 8-lane walks want *rows*). The serving layer restores the
 // batch dimension across hosts instead of across time: a single-threaded
 // controller walks the virtual 10 ms tick clock, coalesces every pending
-// host interval of a shard into one row-major batch, and hands it to a
-// worker that scores the whole batch in ONE predict_proba_batch call and
-// then steps each host's OnlineState (core/online.h) with its score.
-// Per-interval scalar scoring becomes cross-host batched scoring; the
-// speedup is the bench's headline (bench/serve, BENCH_serve.json).
+// host interval of a worker's shards into one row-major task per tick, and
+// hands it to the worker, which scores the whole task in ONE
+// predict_proba_batch call and then steps each host's OnlineState
+// (core/online.h) with its score. Per-interval scalar scoring becomes
+// cross-host batched scoring; the speedup is the bench's headline
+// (bench/serve, BENCH_serve.json).
 //
 // Pipeline stages and roles:
 //
 //   controller (1 thread)  — per tick: token-bucket admission (explicit
-//     shed accounting), drop simulation and batch assembly; binds the
-//     current model epoch into each (tick, shard) batch and pushes it to
-//     the owning worker's BoundedQueue (backpressure: a full queue stalls
-//     the controller, counted, never dropped). With drift detection on, it
+//     shed accounting), drop simulation and assembly, visiting shards in
+//     ascending order whatever the worker count; each shard's rows and
+//     outcomes go to its owning worker's task. It binds the current model
+//     epoch into each task and pushes one task per worker per tick to
+//     that worker's BoundedQueue (backpressure: a full queue stalls the
+//     controller, counted, never dropped). With drift detection on, it
 //     drains the pipeline at each check and drives the refresh
 //     (serve/drift.h).
 //   workers (N threads)    — own a fixed partition of shards (shard
-//     s -> worker s mod N): score the batch (one batched call, or
-//     row-by-row in the unbatched A/B mode), step the shard's per-host
-//     EWMA/alarm/staleness automata in tick order, emit a result chunk.
+//     s -> worker s mod N): score the task (one batched call, or
+//     row-by-row in the unbatched A/B mode), step the owned shards'
+//     EWMA/alarm/staleness automata shard by shard in tick order, emit a
+//     result chunk.
 //   collector (1 thread)   — drains result chunks: latency accounting
-//     (P^2 p50/p95/p99 per stage — serve/quantile.h) and the verdict
-//     stream.
+//     (P^2 p50/p95/p99 per stage — serve/quantile.h) and a reorder buffer
+//     keyed by tick. Once every worker's chunk of a tick has arrived it
+//     scatters the tick into host order, folds it into the verdict hash
+//     and, only when recording, appends it to the verdict stream. Ticks
+//     complete in tick order, so no end-of-run sort is needed.
 //
 // Determinism contract (enforced by tests and the ci.sh serve leg): the
 // verdict stream and every field of ServeCounters are bit-identical across
@@ -59,10 +66,11 @@ struct ServeConfig {
   /// only on the fleet, never on the worker count — shard boundaries are
   /// part of the deterministic domain.
   std::size_t shards = 0;
-  /// Per-worker task queue depth, in batches. A full queue blocks the
-  /// controller (backpressure); stalls are counted in ServeTiming.
+  /// Per-worker task queue depth, in tick tasks (one task carries all of
+  /// a worker's shards for one tick). A full queue blocks the controller
+  /// (backpressure); stalls are counted in ServeTiming.
   std::size_t queue_capacity = 8;
-  /// true: one predict_proba_batch call per shard batch (the point of the
+  /// true: one predict_proba_batch call per tick task (the point of the
   /// serving layer). false: the A/B baseline — identical pipeline, but
   /// each row scored with a batch-of-one call. Verdicts are bit-identical.
   bool batched = true;
@@ -72,7 +80,8 @@ struct ServeConfig {
   /// Bucket (burst) capacity; 0 means admit_per_tick.
   std::uint64_t admit_burst = 0;
   /// Keep the full verdict stream in the report (hosts × ticks entries).
-  /// The verdict hash is computed either way.
+  /// The verdict hash is computed either way; without recording, the
+  /// collector holds only the few ticks still in flight.
   bool record_verdicts = true;
   core::OnlineConfig online{};
   /// Concept-drift detection over the score stream (serve/drift.h).
@@ -139,7 +148,7 @@ struct ServeCounters {
   std::uint64_t retrain_base_rows = 0;    ///< base split rows in the refit
   std::uint64_t retrain_window_rows = 0;  ///< harvested rows in the refit
   std::uint64_t final_model_epoch = 0;    ///< epoch serving the last tick
-  std::uint64_t verdict_hash = 0;    ///< FNV-1a over the sorted stream
+  std::uint64_t verdict_hash = 0;    ///< FNV-1a over the (tick, host) stream
 };
 
 /// Measured domain: wall-clock throughput and per-stage latency. Varies
@@ -148,12 +157,12 @@ struct ServeCounters {
 struct ServeTiming {
   double wall_ms = 0.0;
   double intervals_per_sec = 0.0;  ///< offered / wall seconds
-  LatencyStats gen;    ///< controller: emit + admission + batch assembly
-  LatencyStats queue;  ///< task wait in the worker queue
-  LatencyStats score;  ///< batch scoring
-  LatencyStats step;   ///< per-host state stepping + verdict emit
-  LatencyStats e2e;    ///< batch assembly start -> verdicts emitted
-  std::uint64_t backpressure_stalls = 0;  ///< controller blocked on a queue
+  LatencyStats gen;    ///< per tick: emit + admission + tick assembly
+  LatencyStats queue;  ///< per task: wait in the worker queue
+  LatencyStats score;  ///< per task: scoring its rows
+  LatencyStats step;   ///< per task: per-host state stepping + verdict emit
+  LatencyStats e2e;    ///< per task: tick assembly start -> verdicts emitted
+  std::uint64_t backpressure_stalls = 0;  ///< pushes that met a full queue
   double retrain_ms = 0.0;    ///< background retrain wall time
   double swap_wait_ms = 0.0;  ///< controller blocked at the swap tick
   double barrier_ms = 0.0;    ///< total pipeline-drain wait at drift checks
