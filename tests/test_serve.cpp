@@ -662,25 +662,6 @@ std::string counter_text(const serve::ServeCounters& c) {
   return os.str();
 }
 
-/// bench/serve's --quick fleet.
-const serve::FleetSetup& quick_bench_fleet() {
-  static const serve::FleetSetup fleet = [] {
-    serve::FleetConfig fc;
-    fc.hosts = 256;
-    fc.ticks = 60;
-    fc.threads = 2;
-    return serve::make_fleet(fc);
-  }();
-  return fleet;
-}
-
-serve::ServeConfig quick_bench_serve() {
-  serve::ServeConfig cfg;
-  cfg.threads = 2;
-  cfg.record_verdicts = false;
-  return cfg;
-}
-
 /// Recorded values: the batched and unbatched runs share one stream.
 constexpr const char* kQuickSteadyCounters =
     "hosts=256 ticks=60 shards=8 offered=15360 missing=175 "
@@ -701,24 +682,34 @@ constexpr const char* kQuickOverloadedCounters =
     "model_swap_tick=0 retrain_base_rows=0 retrain_window_rows=0 "
     "final_model_epoch=0 verdict_hash=80803ceb83f9b5e1";
 
-TEST(GoldenServe, BatchedRunMatchesRecordedCounters) {
-  const auto r = serve::run_fleet(quick_bench_fleet(), quick_bench_serve());
-  EXPECT_EQ(counter_text(r.counters), kQuickSteadyCounters);
-}
+// One test for the three runs: under the sanitizer builds the fleet's
+// offline phase costs minutes, and ctest runs every test in its own
+// process.
+TEST(GoldenServe, QuickBenchRunsMatchRecordedCounters) {
+  serve::FleetConfig fc;  // bench/serve --quick
+  fc.hosts = 256;
+  fc.ticks = 60;
+  fc.threads = 2;
+  const serve::FleetSetup fleet = serve::make_fleet(fc);
 
-TEST(GoldenServe, UnbatchedRunMatchesRecordedCounters) {
-  serve::ServeConfig cfg = quick_bench_serve();
-  cfg.batched = false;
-  const auto r = serve::run_fleet(quick_bench_fleet(), cfg);
-  EXPECT_EQ(counter_text(r.counters), kQuickSteadyCounters);
-}
+  serve::ServeConfig batched;
+  batched.threads = 2;
+  batched.record_verdicts = false;
+  serve::ServeConfig unbatched = batched;
+  unbatched.batched = false;
+  serve::ServeConfig overloaded = batched;
+  overloaded.admit_per_tick = 256 * 6 / 10;  // 60% of the fleet
+  overloaded.admit_burst = 256;
 
-TEST(GoldenServe, OverloadedRunMatchesRecordedCounters) {
-  serve::ServeConfig cfg = quick_bench_serve();
-  cfg.admit_per_tick = 256 * 6 / 10;  // bench/serve: 60% of the fleet
-  cfg.admit_burst = 256;
-  const auto r = serve::run_fleet(quick_bench_fleet(), cfg);
-  EXPECT_EQ(counter_text(r.counters), kQuickOverloadedCounters);
+  EXPECT_EQ(counter_text(serve::run_fleet(fleet, batched).counters),
+            kQuickSteadyCounters)
+      << "batched";
+  EXPECT_EQ(counter_text(serve::run_fleet(fleet, unbatched).counters),
+            kQuickSteadyCounters)
+      << "unbatched";
+  EXPECT_EQ(counter_text(serve::run_fleet(fleet, overloaded).counters),
+            kQuickOverloadedCounters)
+      << "overloaded";
 }
 
 // ---------------------------------------------------------------------------
