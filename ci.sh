@@ -5,7 +5,9 @@
 #   1. Release, warnings-as-errors — the production configuration must
 #      compile warning-clean under -Wall -Wextra -Wshadow -Wconversion
 #      -Wdouble-promotion -Wold-style-cast. HlsRun (the generated HLS C,
-#      compiled and run on probes) must then run, not skip (1a).
+#      compiled and run on probes) must then run, not skip (1a). A
+#      full-size bench/drift run must reproduce every deterministic field
+#      of the committed BENCH_drift.json (1h).
 #   2. Debug, AddressSanitizer + UndefinedBehaviorSanitizer — the full
 #      ctest suite must pass with zero sanitizer reports. Recovery is
 #      disabled at compile time (-fno-sanitize-recover=all) and
@@ -253,6 +255,40 @@ print(f"perfbench OK: {workload} correct, {result['attempted']} operations, "
       f"0 failed")
 EOF
 done
+
+echo "=== [1h] full-size drift run must match the committed BENCH_drift.json ==="
+# The committed report comes from `bench/drift --threads 1`. Its times are
+# measurements, but both verdict hashes, the detection block and the
+# refresh's swap tick and row counts are pure functions of the seed and
+# the code: a change that moves any of them changed the refit's model or
+# the serving path, not just its speed.
+./build-ci-release/bench/drift --threads 1 \
+  --out build-ci-release/drift-full.json > /dev/null
+if command -v python3 >/dev/null 2>&1; then
+  python3 - <<'EOF'
+import json
+with open("BENCH_drift.json") as f:
+    want = json.load(f)
+with open("build-ci-release/drift-full.json") as f:
+    got = json.load(f)
+for key in ("adaptive_verdict_hash", "frozen_verdict_hash", "detection"):
+    assert got[key] == want[key], (key, got[key], want[key])
+for key in ("swap_tick", "base_rows", "window_rows"):
+    assert got["refresh"][key] == want["refresh"][key], (
+        key, got["refresh"][key], want["refresh"][key])
+print(f"drift OK: full-size run matches BENCH_drift.json "
+      f"(adaptive {got['adaptive_verdict_hash']}, "
+      f"swap tick {got['refresh']['swap_tick']})")
+EOF
+else
+  for pattern in '"adaptive_verdict_hash": "[0-9a-f]*"' \
+    '"frozen_verdict_hash": "[0-9a-f]*"' '"detection": {[^}]*}' \
+    '"swap_tick": [0-9]*' '"base_rows": [0-9]*' '"window_rows": [0-9]*'; do
+    test "$(grep -o "${pattern}" BENCH_drift.json)" = \
+      "$(grep -o "${pattern}" build-ci-release/drift-full.json)"
+  done
+  echo "drift OK: full-size run matches BENCH_drift.json (grep fallback)"
+fi
 
 echo "=== [2/4] Debug + HMD_SANITIZE=address;undefined ==="
 cmake -B build-ci-asan -S . \

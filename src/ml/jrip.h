@@ -11,13 +11,51 @@
 //
 // Prediction follows the decision list: the first matching rule fires with
 // its Laplace-smoothed precision; otherwise the default class fires.
+//
+// Training evaluates rules column-wise. For a row list, one evaluator
+// counts how many leading conditions each row satisfies, one condition at a
+// time down one storage column (raw_column through row_map), touching only
+// the rows that passed every earlier condition. A rule covers a row when the
+// count is its length, and a truncation to length l covers the rows whose
+// count is at least l, so one evaluation scores every truncation in pruning
+// (O(L·m) instead of O(L²·m)). Coverage, the MDL stop, the uncovered-row
+// filter, the optimisation pass and the default probability all read it,
+// and each of their sums still runs in row order, so the learned rules are
+// bit-identical to evaluating rule.matches(row) row by row. The
+// optimisation pass keeps each rule's matches as one bit per row and
+// evaluates a replacement only on the rows the earlier rules leave to it.
+//
+// The FOIL sweep gathers one feature's values in its presorted list's
+// order, then walks the list once, splitting each row's weight between the
+// two class sums with a bit mask, not a branch: one sum receives w and the
+// other +0.0, and x + 0.0 == x, so the sums equal the branchy ones bit for
+// bit. It calls log2 only when the gain could beat the best so far. For
+// p > 0 and n >= 0 the computed precision q = p / (p + n) is at most 1, so
+// log2(q) <= 0, and rounding is monotone, so the computed gain
+// p * (log2(q) - base) is at most p * (0 - base). foil_gain_bound tightens
+// this with an upper bound on log2(q) read from q's exponent bits and
+// ln m <= 2(m - 1)/(m + 1) for the mantissa m <= 1, with slack above the
+// rounding of both that bound and std::log2. A candidate whose bound is
+// <= the best gain cannot be taken by the strict `>`, so skipping it leaves
+// every chosen condition unchanged. When weighted sums round n below 0, q
+// exceeds 1 and the gain is always computed.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "ml/classifier.h"
 
 namespace hmd::ml {
+
+/// FOIL information gain of a condition that keeps target weight p and
+/// other weight n, against the rule's current log2 precision `base`:
+/// p * (log2(p / (p + n)) - base), the quantity grow_rule maximises.
+double foil_gain(double p, double n, double base);
+
+/// Upper bound on foil_gain(p, n, base) that needs no log2: for p > 0 and
+/// n >= 0 it is >= the computed foil_gain, bit for bit.
+double foil_gain_bound(double p, double n, double base);
 
 class JRip final : public Classifier {
  public:
@@ -62,12 +100,8 @@ class JRip final : public Classifier {
   double default_proba() const { return default_proba_; }
 
  private:
-  Rule grow_rule(const Dataset& data,
-                 const std::vector<std::size_t>& rows) const;
-  void prune_rule(Rule& rule, const Dataset& data,
-                  const std::vector<std::size_t>& rows) const;
-  double rule_dl(const Rule& rule, const Dataset& data,
-                 const std::vector<std::size_t>& rows) const;
+  Rule grow_rule(const Dataset& data, std::span<const std::size_t> rows,
+                 std::span<const std::uint8_t> in_target) const;
 
   std::size_t optimize_passes_;
   double min_rule_weight_;

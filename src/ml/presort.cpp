@@ -59,14 +59,21 @@ void Presort::split_lists(const Lists& parent,
 }
 
 void Presort::filter_lists(Lists* lists, std::size_t feature, bool leq,
-                           double value) const {
+                           double value) {
+  // Test the condition once per row, on the feature's own list (it holds
+  // every row of the node), then filter every list by the row's flag.
+  side_.resize(data_->num_rows());
   const double* col = data_->raw_column(feature).data();
   const std::uint32_t* map = data_->row_map().data();
+  for (std::uint32_t row : lists->per[feature]) {
+    const double v = col[map[row]];
+    side_[row] = (leq ? v <= value : v >= value) ? 1 : 0;
+  }
   for (List& list : lists->per) {
     std::size_t kept = 0;
     for (std::uint32_t row : list) {
-      const double v = col[map[row]];
-      if (leq ? v <= value : v >= value) list[kept++] = row;
+      list[kept] = row;
+      kept += side_[row];
     }
     list.resize(kept);
   }

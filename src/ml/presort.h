@@ -64,7 +64,7 @@ class Presort {
   /// Drop every list entry not matching the rule condition
   /// (x[feature] <= value, or >= when !leq) — JRip's grow-set shrink.
   void filter_lists(Lists* lists, std::size_t feature, bool leq,
-                    double value) const;
+                    double value);
 
   /// Fill `items` with the node's canonical scan sequence for feature `f`,
   /// read from the presorted list. `rows` is the node's row set, which the
@@ -79,7 +79,7 @@ class Presort {
   const Dataset* data_;
   bool identity_;  ///< dataset is an identity view (skip the row map)
   std::vector<std::uint32_t> offsets_;  ///< counting-sort scratch
-  std::vector<std::uint8_t> side_;      ///< split_lists per-row side flags
+  std::vector<std::uint8_t> side_;      ///< split/filter per-row side flags
   std::vector<SweepItem> scratch_;
 };
 

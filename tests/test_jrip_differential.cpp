@@ -1,21 +1,28 @@
-// Differential test for JRip's optimisation pass.
+// Differential test for JRip's training.
 //
-// ml::JRip::train runs its optimisation passes in O(R·n) per pass: a
-// per-row count of matching rules and a running "captured by an earlier
-// rule" flag replace the two full rule-set rescans per rule of the
-// textbook pass. ReferenceJRip below is a test-local copy of the learner
-// with the textbook pass (rescan every rule for every row, twice per rule,
-// plus an O(k·n) scope rescan). Rule growth, pruning and the MDL stop are
-// copied unchanged, so the two learners consume the same random stream and
-// differ only in how the pass finds its answer. The tests demand
-// identical rules, condition thresholds, precisions and default
-// probability, compared bit for bit, over seeded random datasets.
+// ml::JRip::train evaluates rules column-wise: one pass per rule counts the
+// leading conditions each row satisfies, pruning scores every truncation
+// from that one pass, the optimisation pass keeps per-rule match bits and
+// counts instead of rescanning the rule set, and the FOIL sweep skips
+// log2 when an upper bound on the gain cannot beat the best. ReferenceJRip
+// below is a test-local copy of the textbook learner: every rule is
+// evaluated row by row with Rule::matches, every truncation separately,
+// every candidate's gain with log2, and the optimisation pass rescans
+// every rule for every row, twice per rule. Both learners consume the same
+// random stream, so the tests demand identical rules, condition thresholds,
+// precisions and default probability, compared bit for bit, over seeded
+// random datasets, including views shaped like a drift refit (bootstrap
+// views with repeated rows, fractional window weights, AdaBoost weights).
+//
+// JRipFoilBound checks the inequality the skip rests on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstddef>
 #include <cstdint>
+#include <ios>
 #include <limits>
 #include <string>
 #include <vector>
@@ -259,7 +266,8 @@ struct ReferenceJRip {
 };
 
 /// Seeded random dataset: `features` uniform columns, values snapped to a
-/// grid of `levels` steps (so ties occur), labelled positive inside
+/// grid of `levels` steps (so ties occur; 0 keeps them continuous),
+/// labelled positive inside
 /// `boxes` random boxes, each a small interval on two random features,
 /// with `flip` of the labels flipped. `weighted` draws row weights in
 /// [0.25, 3).
@@ -284,8 +292,10 @@ ml::Dataset random_dataset(std::size_t rows, std::size_t features,
     }
   for (std::size_t r = 0; r < rows; ++r) {
     std::vector<double> x;
-    for (std::size_t f = 0; f < features; ++f)
-      x.push_back(std::floor(rng.uniform() * levels) / levels);
+    for (std::size_t f = 0; f < features; ++f) {
+      const double u = rng.uniform();
+      x.push_back(levels > 0 ? std::floor(u * levels) / levels : u);
+    }
     bool inside = false;
     for (const Box& b : box) {
       bool in_box = true;
@@ -301,6 +311,38 @@ ml::Dataset random_dataset(std::size_t rows, std::size_t features,
   return data;
 }
 
+/// How a case presents its dataset to the learners. The refit trains each
+/// bag member on a bootstrap view of base rows plus window rows, and a
+/// boosted member sees AdaBoost's normalised weights.
+enum class View {
+  kStorage,    ///< the dataset itself (identity row map)
+  kBootstrap,  ///< a bootstrap view: non-identity row map, repeated rows
+  kWindow,     ///< a bootstrap view with weight 0.3 past its first quarter
+  kBoosted,    ///< weights shrunk by beta on ~70% of rows, then normalised
+};
+
+ml::Dataset view_of(const ml::Dataset& data, View view, std::uint64_t seed) {
+  Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
+  if (view == View::kStorage) return data;
+  if (view == View::kBoosted) {
+    ml::Dataset out = data;
+    std::vector<double> w(out.num_rows());
+    for (std::size_t i = 0; i < w.size(); ++i)
+      w[i] = out.weight(i) * (rng.uniform() < 0.7 ? 0.2784 : 1.0);
+    out.set_weights(std::move(w));
+    out.normalize_weights();
+    return out;
+  }
+  ml::Dataset out = data.bootstrap(rng);
+  if (view == View::kWindow) {
+    std::vector<double> w(out.num_rows(), 1.0);
+    std::fill(w.begin() + static_cast<std::ptrdiff_t>(w.size() / 4), w.end(),
+              0.3);
+    out.set_weights(std::move(w));
+  }
+  return out;
+}
+
 struct DiffCase {
   std::string name;
   std::size_t rows, features, boxes;
@@ -309,6 +351,7 @@ struct DiffCase {
   int levels;
   std::uint64_t seed;
   std::size_t min_rules;  ///< the case must exercise at least this many
+  View view = View::kStorage;
 };
 
 void PrintTo(const DiffCase& c, std::ostream* os) { *os << c.name; }
@@ -317,8 +360,10 @@ class JRipDifferential : public testing::TestWithParam<DiffCase> {};
 
 TEST_P(JRipDifferential, MatchesTheTextbookPassBitForBit) {
   const DiffCase& c = GetParam();
-  const ml::Dataset data = random_dataset(c.rows, c.features, c.boxes, c.flip,
-                                          c.weighted, c.levels, c.seed);
+  const ml::Dataset data =
+      view_of(random_dataset(c.rows, c.features, c.boxes, c.flip, c.weighted,
+                             c.levels, c.seed),
+              c.view, c.seed);
   for (const std::uint64_t seed : {std::uint64_t{1}, c.seed}) {
     ReferenceJRip ref;
     ref.seed = seed;
@@ -355,10 +400,46 @@ INSTANTIATE_TEST_SUITE_P(
         DiffCase{"unweighted", 2000, 3, 25, 0.0, false, 100, 3, 5},
         DiffCase{"weighted", 2000, 3, 25, 0.03, true, 100, 4, 5},
         DiffCase{"ties", 800, 3, 10, 0.03, true, 4, 5, 1},
-        DiffCase{"many_rules", 5000, 3, 10, 0.03, true, 100, 14, 21}),
+        DiffCase{"many_rules", 5000, 3, 10, 0.03, true, 100, 14, 21},
+        DiffCase{"bootstrap", 3000, 4, 12, 0.03, false, 0, 21, 12,
+                 View::kBootstrap},
+        DiffCase{"window_weights", 3000, 4, 12, 0.03, false, 0, 22, 8,
+                 View::kWindow},
+        DiffCase{"boosted_weights", 3000, 4, 12, 0.03, true, 0, 23, 12,
+                 View::kBoosted}),
     [](const testing::TestParamInfo<DiffCase>& tpi) {
       return tpi.param.name;
     });
+
+// grow_rule skips log2 for a candidate whose bound is <= the best gain so
+// far, which is exact only if both bounds are >= the computed gain for
+// every p > 0, n >= 0. Triples cover q = 1 (n = 0), q a power of two, q
+// near 0 (n up to 2^60·p) and base from 0 down to about -35.
+TEST(JRipFoilBound, BoundsAreAtLeastTheComputedGainBitForBit) {
+  Rng rng(2018);
+  auto log_uniform = [&](double lo_exp, double hi_exp) {
+    return std::exp2(rng.uniform(lo_exp, hi_exp));
+  };
+  for (int i = 0; i < 1'000'000; ++i) {
+    const double p = i % 7 == 0 ? std::floor(log_uniform(1.0, 12.0))
+                                : log_uniform(-10.0, 20.0);
+    double n = 0.0;
+    switch (i % 5) {
+      case 0: n = 0.0; break;                                // q == 1
+      case 1: n = p * std::exp2(std::floor(rng.uniform(0.0, 8.0))) - p; break;
+      case 2: n = p * log_uniform(20.0, 60.0); break;        // q near 0
+      default: n = log_uniform(-10.0, 20.0); break;
+    }
+    const double bp = log_uniform(-10.0, 20.0);
+    const double bn = i % 11 == 0 ? 0.0 : log_uniform(-10.0, 25.0);
+    const double base = std::log2(bp / (bp + bn));
+    const double gain = ml::foil_gain(p, n, base);
+    ASSERT_GE(p * (0.0 - base), gain)
+        << std::hexfloat << "p=" << p << " n=" << n << " base=" << base;
+    ASSERT_GE(ml::foil_gain_bound(p, n, base), gain)
+        << std::hexfloat << "p=" << p << " n=" << n << " base=" << base;
+  }
+}
 
 }  // namespace
 }  // namespace hmd
