@@ -22,7 +22,9 @@
 // accuracy <= clean accuracy holds exactly per cell (ci.sh asserts this on
 // the JSON). All results are bit-identical across runs and --threads
 // values at a fixed --seed: per-row searches stream their randomness from
-// the row index, and cells evaluate as independent pure functions.
+// the row index, and cells evaluate as independent pure functions. So the
+// whole sweep is BENCH_adversarial.json's "deterministic" block; only the
+// thread count is "measured".
 //
 // Flags (beyond the shared --quick/--seed/--threads/--backend set):
 //   --out P    JSON output path (default BENCH_adversarial.json)
@@ -182,52 +184,34 @@ int main(int argc, char** argv) {
          "baseline, so it can only help where members disagree "
          "(ensembles).\n";
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[ablation_adversarial] cannot write %s\n",
-                 out_path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"ablation_adversarial\",\n"
-               "  \"seed\": %llu,\n"
-               "  \"classifier\": \"J48\",\n"
-               "  \"abs_floor\": %.6f,\n"
-               "  \"budgets\": [\n",
-               static_cast<unsigned long long>(cfg.corpus.seed), kAbsFloor);
+  support::JsonWriter w = benchutil::bench_report("ablation_adversarial");
+  w.object("deterministic")
+      .num("seed", cfg.corpus.seed)
+      .str("classifier", "J48")
+      .num("abs_floor", kAbsFloor, 6)
+      .array("budgets");
   for (std::size_t b = 0; b < sweep.size(); ++b) {
-    std::fprintf(f,
-                 "    {\n"
-                 "      \"max_rel_delta\": %.6f,\n"
-                 "      \"cells\": [\n",
-                 kRelBudgets[b]);
-    for (std::size_t c = 0; c < sweep[b].size(); ++c) {
-      const BenchCell& cell = sweep[b][c];
-      std::fprintf(
-          f,
-          "        {\"ensemble\": \"%s\", \"hpcs\": %zu, "
-          "\"clean_accuracy\": %.6f, \"attacked_accuracy\": %.6f, "
-          "\"evasion_rate\": %.6f, "
-          "\"retrain_clean_accuracy\": %.6f, "
-          "\"retrain_transfer_accuracy\": %.6f, "
-          "\"retrain_adaptive_accuracy\": %.6f, "
-          "\"retrain_adaptive_evasion\": %.6f, "
-          "\"margin_defended_accuracy\": %.6f, "
-          "\"margin_suspect_fraction\": %.6f}%s\n",
-          std::string(ml::ensemble_kind_name(cell.cell.ensemble)).c_str(),
-          cell.cell.hpcs, cell.clean.accuracy, cell.attacked.accuracy,
-          cell.evasion_rate, cell.retrain_clean.accuracy,
-          cell.retrain_transfer.accuracy, cell.retrain_adaptive.accuracy,
-          cell.retrain_adaptive_evasion, cell.margin_defended.accuracy,
-          cell.margin_suspect_fraction,
-          c + 1 < sweep[b].size() ? "," : "");
-    }
-    std::fprintf(f, "      ]\n    }%s\n",
-                 b + 1 < sweep.size() ? "," : "");
+    w.object().num("max_rel_delta", kRelBudgets[b], 6).array("cells");
+    for (const BenchCell& cell : sweep[b])
+      w.inline_object()
+          .str("ensemble", ml::ensemble_kind_name(cell.cell.ensemble))
+          .num("hpcs", cell.cell.hpcs)
+          .num("clean_accuracy", cell.clean.accuracy, 6)
+          .num("attacked_accuracy", cell.attacked.accuracy, 6)
+          .num("evasion_rate", cell.evasion_rate, 6)
+          .num("retrain_clean_accuracy", cell.retrain_clean.accuracy, 6)
+          .num("retrain_transfer_accuracy", cell.retrain_transfer.accuracy, 6)
+          .num("retrain_adaptive_accuracy", cell.retrain_adaptive.accuracy, 6)
+          .num("retrain_adaptive_evasion", cell.retrain_adaptive_evasion, 6)
+          .num("margin_defended_accuracy", cell.margin_defended.accuracy, 6)
+          .num("margin_suspect_fraction", cell.margin_suspect_fraction, 6)
+          .end();
+    w.end().end();
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  w.end().end().object("measured")
+      .num("threads", support::resolve_threads(cfg.threads))
+      .end();
+  w.save(out_path, "ablation_adversarial");
   std::fprintf(stderr, "[ablation_adversarial] wrote %s\n", out_path);
   return 0;
 }

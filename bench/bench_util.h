@@ -49,6 +49,7 @@
 #include "core/hmd.h"
 #include "hpc/faults.h"
 #include "serve/controller.h"
+#include "support/json.h"
 #include "support/parallel.h"
 #include "support/table.h"
 
@@ -301,23 +302,40 @@ inline ServeArgs serve_args(int argc, char** argv) {
 
 /// Write a verdict stream as text, one verdict per line with the score and
 /// EWMA as raw bits: the byte-diffable determinism witness of the serving
-/// benches. `what` prefixes the error message; a write failure exits 1.
+/// benches. `what` prefixes the error message; a failed open, write or
+/// close exits 1.
 inline void dump_verdicts(const std::vector<serve::ServeVerdict>& vs,
                           const char* path, const char* what) {
   std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
+  bool ok = f != nullptr;
+  for (std::size_t i = 0; ok && i < vs.size(); ++i) {
+    const serve::ServeVerdict& v = vs[i];
+    ok = std::fprintf(f, "%u %u %u %016llx %016llx %u %u\n", v.tick, v.host,
+                      static_cast<unsigned>(v.outcome),
+                      static_cast<unsigned long long>(
+                          std::bit_cast<std::uint64_t>(v.score)),
+                      static_cast<unsigned long long>(
+                          std::bit_cast<std::uint64_t>(v.ewma)),
+                      v.alarm ? 1U : 0U, v.stale ? 1U : 0U) > 0;
+  }
+  if (f != nullptr && std::fclose(f) != 0) ok = false;
+  if (!ok) {
     std::fprintf(stderr, "[%s] cannot write %s\n", what, path);
     std::exit(1);
   }
-  for (const serve::ServeVerdict& v : vs)
-    std::fprintf(f, "%u %u %u %016llx %016llx %u %u\n", v.tick, v.host,
-                 static_cast<unsigned>(v.outcome),
-                 static_cast<unsigned long long>(
-                     std::bit_cast<std::uint64_t>(v.score)),
-                 static_cast<unsigned long long>(
-                     std::bit_cast<std::uint64_t>(v.ewma)),
-                 v.alarm ? 1U : 0U, v.stale ? 1U : 0U);
-  std::fclose(f);
+}
+
+/// Every BENCH_*.json report has the same shape: "bench", "schema", then a
+/// "deterministic" block — counters, verdict hashes, accuracies, backend
+/// names: a pure function of seed, size flags and code, identical at any
+/// --threads and --reps, and compared exactly against the committed file by
+/// ci.sh — and a "measured" block: wall times, throughputs, latency
+/// quantiles, speedups, threads and reps. This opens a report; the caller
+/// writes the two blocks and saves it.
+inline support::JsonWriter bench_report(const char* bench) {
+  support::JsonWriter w;
+  w.str("bench", bench).num("schema", 1);
+  return w;
 }
 
 /// Machine-readable performance record of one grid-bench run, for tracking
@@ -333,28 +351,19 @@ struct GridBenchReport {
 /// Write `report` as JSON (default BENCH_grid.json in the working dir).
 inline void write_grid_bench_json(const GridBenchReport& report,
                                   const char* path = "BENCH_grid.json") {
-  std::FILE* f = std::fopen(path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[%s] cannot write %s\n", report.bench, path);
-    return;
-  }
   const double grid_sec = static_cast<double>(report.grid_ms) / 1000.0;
   const double cells_per_sec =
       grid_sec > 0.0 ? static_cast<double>(report.cells) / grid_sec : 0.0;
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"%s\",\n"
-               "  \"threads\": %zu,\n"
-               "  \"capture_ms\": %lld,\n"
-               "  \"grid_ms\": %lld,\n"
-               "  \"total_ms\": %lld,\n"
-               "  \"cells\": %zu,\n"
-               "  \"cells_per_sec\": %.3f\n"
-               "}\n",
-               report.bench, report.threads, report.capture_ms,
-               report.grid_ms, report.capture_ms + report.grid_ms,
-               report.cells, cells_per_sec);
-  std::fclose(f);
+  support::JsonWriter w = bench_report(report.bench);
+  w.object("deterministic").num("cells", report.cells).end();
+  w.object("measured")
+      .num("threads", report.threads)
+      .num("capture_ms", report.capture_ms)
+      .num("grid_ms", report.grid_ms)
+      .num("total_ms", report.capture_ms + report.grid_ms)
+      .num("cells_per_sec", cells_per_sec, 3)
+      .end();
+  w.save(path, report.bench);
   std::fprintf(stderr, "[%s] wrote %s (%zu cells, %zu threads, %.1f cells/s)\n",
                report.bench, path, report.cells, report.threads,
                cells_per_sec);

@@ -17,10 +17,11 @@
 //              harvest labelled by analyst triage, background retrain
 //              (ml/refit.h), hot-swap at trigger + refresh_lag ticks.
 //
-// BENCH_drift.json reports the phase accuracies (pre-onset, post-onset,
-// post-refresh tail for both runs), the detection lag in ticks, the
-// recovery fraction (how much of the erosion the refresh won back), and
-// the refresh cost (retrain wall-clock, swap wait, harvested rows). The
+// BENCH_drift.json's "deterministic" block reports the phase accuracies
+// (pre-onset, post-onset, post-refresh tail for both runs), the detection
+// lag in ticks, the recovery fraction (how much of the erosion the refresh
+// won back), the harvested rows and both verdict hashes; its "measured"
+// block the refresh cost (retrain wall-clock, swap wait, barriers). The
 // bench exits 1 if the trigger never fires or the swap never lands —
 // detection and refresh are the contract, not best-effort.
 //
@@ -168,60 +169,46 @@ int main(int argc, char** argv) {
   if (verdict_path != nullptr)
     benchutil::dump_verdicts(run_adaptive.verdicts, verdict_path, "drift");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[drift] cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"drift\",\n"
-               "  \"threads\": %zu,\n"
-               "  \"backend\": \"%s\",\n"
-               "  \"hosts\": %zu,\n"
-               "  \"ticks\": %u,\n"
-               "  \"setup_ms\": %.0f,\n"
-               "  \"campaign_onset\": %u,\n"
-               "  \"campaign_hosts\": %llu,\n"
-               "  \"malware_hosts\": %llu,\n",
-               support::resolve_threads(exp.threads),
-               std::string(ml::backend_kind_name(ml::infer_backend_kind()))
-                   .c_str(),
-               fc.hosts, fc.ticks, setup_ms, onset,
-               static_cast<unsigned long long>(c.campaign_hosts),
-               static_cast<unsigned long long>(c.malware_hosts));
-  std::fprintf(
-      f,
-      "  \"detection\": {\"checks\": %llu, \"triggers\": %llu, "
-      "\"trigger_tick\": %u, \"detection_lag_ticks\": %llu, "
-      "\"tripped_shards\": %llu},\n",
-      static_cast<unsigned long long>(c.drift_checks),
-      static_cast<unsigned long long>(c.drift_triggers), trigger_tick,
-      static_cast<unsigned long long>(detection_lag),
-      static_cast<unsigned long long>(c.drift_tripped_shards));
-  std::fprintf(
-      f,
-      "  \"refresh\": {\"swapped\": %s, \"swap_tick\": %u, "
-      "\"retrain_ms\": %.1f, \"swap_wait_ms\": %.1f, \"barrier_ms\": %.1f, "
-      "\"base_rows\": %llu, \"window_rows\": %llu, \"checkpointed\": %s},\n",
-      swapped ? "true" : "false", swap_tick, run_adaptive.timing.retrain_ms,
-      run_adaptive.timing.swap_wait_ms, run_adaptive.timing.barrier_ms,
-      static_cast<unsigned long long>(c.retrain_base_rows),
-      static_cast<unsigned long long>(c.retrain_window_rows),
-      checkpoint_dir != nullptr ? "true" : "false");
-  std::fprintf(f,
-               "  \"accuracy\": {\"pre_onset\": %.6f, \"post_onset\": %.6f, "
-               "\"post_refresh\": %.6f, \"frozen_tail\": %.6f, "
-               "\"recovery_fraction\": %.4f},\n",
-               pre, post_onset, post_refresh, frozen_tail, recovery);
-  std::fprintf(f,
-               "  \"adaptive_verdict_hash\": \"%016llx\",\n"
-               "  \"frozen_verdict_hash\": \"%016llx\"\n"
-               "}\n",
-               static_cast<unsigned long long>(c.verdict_hash),
-               static_cast<unsigned long long>(
-                   run_frozen.counters.verdict_hash));
-  std::fclose(f);
+  support::JsonWriter w = benchutil::bench_report("drift");
+  w.object("deterministic")
+      .str("backend", ml::backend_kind_name(ml::infer_backend_kind()))
+      .num("hosts", fc.hosts)
+      .num("ticks", fc.ticks)
+      .num("campaign_onset", onset)
+      .num("campaign_hosts", c.campaign_hosts)
+      .num("malware_hosts", c.malware_hosts);
+  w.inline_object("detection")
+      .num("checks", c.drift_checks)
+      .num("triggers", c.drift_triggers)
+      .num("trigger_tick", trigger_tick)
+      .num("detection_lag_ticks", detection_lag)
+      .num("tripped_shards", c.drift_tripped_shards)
+      .end();
+  w.inline_object("refresh")
+      .boolean("swapped", swapped)
+      .num("swap_tick", swap_tick)
+      .num("base_rows", c.retrain_base_rows)
+      .num("window_rows", c.retrain_window_rows)
+      .boolean("checkpointed", checkpoint_dir != nullptr)
+      .end();
+  w.inline_object("accuracy")
+      .num("pre_onset", pre, 6)
+      .num("post_onset", post_onset, 6)
+      .num("post_refresh", post_refresh, 6)
+      .num("frozen_tail", frozen_tail, 6)
+      .num("recovery_fraction", recovery, 4)
+      .end();
+  w.hex("adaptive_verdict_hash", c.verdict_hash)
+      .hex("frozen_verdict_hash", run_frozen.counters.verdict_hash)
+      .end();
+  w.object("measured")
+      .num("threads", support::resolve_threads(exp.threads))
+      .num("setup_ms", setup_ms, 0)
+      .num("retrain_ms", run_adaptive.timing.retrain_ms, 1)
+      .num("swap_wait_ms", run_adaptive.timing.swap_wait_ms, 1)
+      .num("barrier_ms", run_adaptive.timing.barrier_ms, 1)
+      .end();
+  w.save(out_path, "drift");
 
   const bool ok = triggered && swapped;
   std::fprintf(stderr, "[drift] wrote %s (%s)\n", out_path,

@@ -16,10 +16,11 @@
 // scored in one pass per timing rep. Both backends score the identical
 // batch, so the bit-identity check is unaffected.
 //
-// Results land in BENCH_infer.json; the headline number is
-// `tree_ensemble_speedup`, the aggregate scalar/flat latency ratio over
-// the flattenable tree/rule ensembles ({J48, REPTree, JRip} ×
-// {AdaBoost, Bagging}). Any score mismatch anywhere exits 1.
+// Results land in BENCH_infer.json: each cell's engine and score match in
+// the "deterministic" block, its latencies in the "measured" block. The
+// headline number is `tree_ensemble_speedup`, the aggregate scalar/flat
+// latency ratio over the flattenable tree/rule ensembles ({J48, REPTree,
+// JRip} × {AdaBoost, Bagging}). Any score mismatch anywhere exits 1.
 //
 // Flags (beyond the shared --quick/--seed/--threads/--backend set):
 //   --reps N   timing repetitions per backend, best-of (default 5; 2 in
@@ -192,40 +193,36 @@ int main(int argc, char** argv) {
   }
   const double tree_speedup = tree_flat > 0.0 ? tree_scalar / tree_flat : 0.0;
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[micro_infer] cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"micro_infer\",\n"
-               "  \"capture_ms\": %lld,\n"
-               "  \"hpcs\": %zu,\n"
-               "  \"reps\": %zu,\n"
-               "  \"batch_rows\": %zu,\n"
-               "  \"tree_ensemble_speedup\": %.3f,\n"
-               "  \"all_scores_match\": %s,\n"
-               "  \"cells\": [\n",
-               capture_ms, hpcs, reps, stream_rows, tree_speedup,
-               all_match ? "true" : "false");
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"classifier\": \"%s\", \"ensemble\": \"%s\", "
-        "\"backend\": \"%s\", \"scalar_us_per_sample\": %.4f, "
-        "\"flat_us_per_sample\": %.4f, \"speedup\": %.3f, "
-        "\"predictions_per_sec\": %.1f, \"score_match\": %s}%s\n",
-        std::string(ml::classifier_kind_name(c.kind)).c_str(),
-        std::string(ml::ensemble_kind_name(c.ensemble)).c_str(),
-        c.backend.c_str(), c.scalar_us, c.flat_us,
-        c.flat_us > 0.0 ? c.scalar_us / c.flat_us : 0.0,
-        c.flat_us > 0.0 ? 1e6 / c.flat_us : 0.0,
-        c.score_match ? "true" : "false", i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  support::JsonWriter w = benchutil::bench_report("micro_infer");
+  w.object("deterministic")
+      .num("hpcs", hpcs)
+      .num("batch_rows", stream_rows)
+      .boolean("all_scores_match", all_match)
+      .array("cells");
+  for (const Cell& c : cells)
+    w.inline_object()
+        .str("classifier", ml::classifier_kind_name(c.kind))
+        .str("ensemble", ml::ensemble_kind_name(c.ensemble))
+        .str("backend", c.backend)
+        .boolean("score_match", c.score_match)
+        .end();
+  w.end().end().object("measured")
+      .num("threads", support::resolve_threads(cfg.threads))
+      .num("reps", reps)
+      .num("capture_ms", capture_ms)
+      .num("tree_ensemble_speedup", tree_speedup, 3)
+      .array("cells");
+  for (const Cell& c : cells)
+    w.inline_object()
+        .str("classifier", ml::classifier_kind_name(c.kind))
+        .str("ensemble", ml::ensemble_kind_name(c.ensemble))
+        .num("scalar_us_per_sample", c.scalar_us, 4)
+        .num("flat_us_per_sample", c.flat_us, 4)
+        .num("speedup", c.flat_us > 0.0 ? c.scalar_us / c.flat_us : 0.0, 3)
+        .num("predictions_per_sec", c.flat_us > 0.0 ? 1e6 / c.flat_us : 0.0,
+             1)
+        .end();
+  w.end().end().save(out_path, "micro_infer");
   std::fprintf(stderr,
                "[micro_infer] wrote %s (%zu cells, tree-ensemble inference "
                "speedup %.2fx, scores %s)\n",

@@ -4,7 +4,8 @@
 // corpus's projected training split and records the best-of-reps training
 // wall-clock, the training throughput in rows per second, and the
 // per-sample inference latency of the last trained model over the test
-// split. Results land in BENCH_train.json.
+// split. Results land in BENCH_train.json; its "deterministic" block holds
+// only the split sizes, the per-cell timings are all "measured".
 //
 // Flags (beyond the shared --quick/--seed/--threads set):
 //   --reps N   timing repetitions per cell, best-of (default 3; 1 in --quick)
@@ -92,36 +93,27 @@ int main(int argc, char** argv) {
     }
   }
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[micro_ml] cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"micro_ml\",\n"
-               "  \"capture_ms\": %lld,\n"
-               "  \"hpcs\": %zu,\n"
-               "  \"reps\": %zu,\n"
-               "  \"train_rows\": %zu,\n"
-               "  \"test_rows\": %zu,\n"
-               "  \"cells\": [\n",
-               capture_ms, hpcs, reps, split.train.num_rows(),
-               split.test.num_rows());
-  for (std::size_t i = 0; i < cells.size(); ++i) {
-    const Cell& c = cells[i];
-    std::fprintf(
-        f,
-        "    {\"classifier\": \"%s\", \"ensemble\": \"%s\", "
-        "\"train_ms\": %.3f, \"rows_per_sec\": %.1f, "
-        "\"predict_us_per_sample\": %.3f}%s\n",
-        std::string(ml::classifier_kind_name(c.kind)).c_str(),
-        std::string(ml::ensemble_kind_name(c.ensemble)).c_str(), c.train_ms,
-        c.train_ms > 0.0 ? rows / (c.train_ms / 1000.0) : 0.0, c.predict_us,
-        i + 1 < cells.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  support::JsonWriter w = benchutil::bench_report("micro_ml");
+  w.object("deterministic")
+      .num("hpcs", hpcs)
+      .num("train_rows", split.train.num_rows())
+      .num("test_rows", split.test.num_rows())
+      .end();
+  w.object("measured")
+      .num("threads", support::resolve_threads(cfg.threads))
+      .num("reps", reps)
+      .num("capture_ms", capture_ms)
+      .array("cells");
+  for (const Cell& c : cells)
+    w.inline_object()
+        .str("classifier", ml::classifier_kind_name(c.kind))
+        .str("ensemble", ml::ensemble_kind_name(c.ensemble))
+        .num("train_ms", c.train_ms, 3)
+        .num("rows_per_sec",
+             c.train_ms > 0.0 ? rows / (c.train_ms / 1000.0) : 0.0, 1)
+        .num("predict_us_per_sample", c.predict_us, 3)
+        .end();
+  w.end().end().save(out_path, "micro_ml");
   std::fprintf(stderr, "[micro_ml] wrote %s (%zu cells)\n", out_path,
                cells.size());
   return 0;

@@ -16,10 +16,11 @@
 // The batched and unbatched runs must produce bit-identical verdict
 // streams (same hash) — the speedup is bought by batching alone, never by
 // changed results — and the bench exits 1 on any mismatch. Results land
-// in BENCH_serve.json: sustained intervals/sec, the batched-vs-unbatched
-// scoring speedup, and P^2 p50/p95/p99 per pipeline stage. The counters
-// section is bit-identical across --threads values (the ci.sh serve leg
-// byte-diffs the verdict dumps of a 1-thread and a 4-thread run).
+// in BENCH_serve.json: each run's counters in the "deterministic" block,
+// identical at any --threads (ci.sh compares it across thread counts and
+// with the committed file); sustained intervals/sec, the batched-vs-
+// unbatched scoring speedup and P^2 p50/p95/p99 per pipeline stage in the
+// "measured" block.
 //
 // Flags (beyond the shared --quick/--seed/--threads/--backend set):
 //   --hosts N        fleet size            (default 2000; 256 in --quick)
@@ -53,58 +54,54 @@ double score_rows_per_sec(const serve::ServeReport& r) {
              : 0.0;
 }
 
-void print_stage(std::FILE* f, const char* name,
-                 const serve::LatencyStats& s, const char* trail) {
-  std::fprintf(f,
-               "      \"%s\": {\"p50_us\": %.2f, \"p95_us\": %.2f, "
-               "\"p99_us\": %.2f, \"mean_us\": %.2f, \"max_us\": %.2f, "
-               "\"count\": %zu}%s\n",
-               name, s.p50(), s.p95(), s.p99(), s.mean(), s.max(), s.count(),
-               trail);
+void print_stage(support::JsonWriter& w, const char* name,
+                 const serve::LatencyStats& s) {
+  w.inline_object(name)
+      .num("p50_us", s.p50(), 2)
+      .num("p95_us", s.p95(), 2)
+      .num("p99_us", s.p99(), 2)
+      .num("mean_us", s.mean(), 2)
+      .num("max_us", s.max(), 2)
+      .num("count", s.count())
+      .end();
 }
 
-void print_run(std::FILE* f, const char* name, const serve::ServeReport& r,
-               const char* trail) {
-  const serve::ServeCounters& c = r.counters;
+/// The run's counters: the deterministic half of a ServeReport.
+void print_counters(support::JsonWriter& w, const char* name,
+                    const serve::ServeCounters& c) {
+  w.inline_object(name)
+      .num("hosts", c.hosts)
+      .num("ticks", c.ticks)
+      .num("shards", c.shards)
+      .num("offered", c.offered)
+      .num("emitted", c.emitted)
+      .num("missing", c.missing)
+      .num("admitted", c.admitted)
+      .num("shed", c.shed)
+      .num("batches", c.batches)
+      .num("scored_rows", c.scored_rows)
+      .num("alarms_raised", c.alarms_raised)
+      .num("alarmed_hosts", c.alarmed_hosts)
+      .num("malware_hosts", c.malware_hosts)
+      .hex("verdict_hash", c.verdict_hash)
+      .end();
+}
+
+/// The run's timing: the measured half of a ServeReport.
+void print_timing(support::JsonWriter& w, const char* name,
+                  const serve::ServeReport& r) {
   const serve::ServeTiming& t = r.timing;
-  std::fprintf(f, "  \"%s\": {\n", name);
-  std::fprintf(
-      f,
-      "    \"counters\": {\"hosts\": %llu, \"ticks\": %llu, "
-      "\"shards\": %llu, \"offered\": %llu, \"emitted\": %llu, "
-      "\"missing\": %llu, \"admitted\": %llu, \"shed\": %llu, "
-      "\"batches\": %llu, \"scored_rows\": %llu, "
-      "\"alarms_raised\": %llu, \"alarmed_hosts\": %llu, "
-      "\"malware_hosts\": %llu, \"verdict_hash\": \"%016llx\"},\n",
-      static_cast<unsigned long long>(c.hosts),
-      static_cast<unsigned long long>(c.ticks),
-      static_cast<unsigned long long>(c.shards),
-      static_cast<unsigned long long>(c.offered),
-      static_cast<unsigned long long>(c.emitted),
-      static_cast<unsigned long long>(c.missing),
-      static_cast<unsigned long long>(c.admitted),
-      static_cast<unsigned long long>(c.shed),
-      static_cast<unsigned long long>(c.batches),
-      static_cast<unsigned long long>(c.scored_rows),
-      static_cast<unsigned long long>(c.alarms_raised),
-      static_cast<unsigned long long>(c.alarmed_hosts),
-      static_cast<unsigned long long>(c.malware_hosts),
-      static_cast<unsigned long long>(c.verdict_hash));
-  std::fprintf(
-      f,
-      "    \"timing\": {\n"
-      "      \"wall_ms\": %.2f,\n"
-      "      \"intervals_per_sec\": %.1f,\n"
-      "      \"score_rows_per_sec\": %.1f,\n"
-      "      \"backpressure_stalls\": %llu,\n",
-      t.wall_ms, t.intervals_per_sec, score_rows_per_sec(r),
-      static_cast<unsigned long long>(t.backpressure_stalls));
-  print_stage(f, "gen", t.gen, ",");
-  print_stage(f, "queue", t.queue, ",");
-  print_stage(f, "score", t.score, ",");
-  print_stage(f, "step", t.step, ",");
-  print_stage(f, "e2e", t.e2e, "");
-  std::fprintf(f, "    }\n  }%s\n", trail);
+  w.object(name)
+      .num("wall_ms", t.wall_ms, 2)
+      .num("intervals_per_sec", t.intervals_per_sec, 1)
+      .num("score_rows_per_sec", score_rows_per_sec(r), 1)
+      .num("backpressure_stalls", t.backpressure_stalls);
+  print_stage(w, "gen", t.gen);
+  print_stage(w, "queue", t.queue);
+  print_stage(w, "score", t.score);
+  print_stage(w, "step", t.step);
+  print_stage(w, "e2e", t.e2e);
+  w.end();
 }
 
 }  // namespace
@@ -197,31 +194,23 @@ int main(int argc, char** argv) {
   if (verdict_path != nullptr)
     benchutil::dump_verdicts(run_batched.verdicts, verdict_path, "serve");
 
-  std::FILE* f = std::fopen(out_path, "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "[serve] cannot write %s\n", out_path);
-    return 1;
-  }
-  std::fprintf(f,
-               "{\n"
-               "  \"bench\": \"serve\",\n"
-               "  \"threads\": %zu,\n"
-               "  \"backend\": \"%s\",\n"
-               "  \"hosts\": %zu,\n"
-               "  \"ticks\": %u,\n"
-               "  \"setup_ms\": %.0f,\n"
-               "  \"batched_speedup\": %.3f,\n"
-               "  \"verdicts_match\": %s,\n",
-               support::resolve_threads(exp.threads),
-               std::string(ml::backend_kind_name(ml::infer_backend_kind()))
-                   .c_str(),
-               fc.hosts, fc.ticks, setup_ms, speedup,
-               verdicts_match ? "true" : "false");
-  print_run(f, "batched", run_batched, ",");
-  print_run(f, "unbatched", run_unbatched, ",");
-  print_run(f, "overloaded", run_over, "");
-  std::fprintf(f, "}\n");
-  std::fclose(f);
+  support::JsonWriter w = benchutil::bench_report("serve");
+  w.object("deterministic")
+      .str("backend", ml::backend_kind_name(ml::infer_backend_kind()))
+      .num("hosts", fc.hosts)
+      .num("ticks", fc.ticks)
+      .boolean("verdicts_match", verdicts_match);
+  print_counters(w, "batched", run_batched.counters);
+  print_counters(w, "unbatched", run_unbatched.counters);
+  print_counters(w, "overloaded", run_over.counters);
+  w.end().object("measured")
+      .num("threads", support::resolve_threads(exp.threads))
+      .num("setup_ms", setup_ms, 0)
+      .num("batched_speedup", speedup, 3);
+  print_timing(w, "batched", run_batched);
+  print_timing(w, "unbatched", run_unbatched);
+  print_timing(w, "overloaded", run_over);
+  w.end().save(out_path, "serve");
 
   std::fprintf(stderr,
                "[serve] wrote %s (batched scoring speedup %.2fx, verdict "

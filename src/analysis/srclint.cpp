@@ -8,6 +8,7 @@
 #include <sstream>
 
 #include "support/check.h"
+#include "support/json.h"
 #include "support/parallel.h"
 
 namespace hmd::analysis {
@@ -393,32 +394,6 @@ std::string snippet_of(std::string_view text_line) {
   return s;
 }
 
-// ---------------------------------------------------------------------------
-// JSON emission (same hand-rolled style as the bench reports).
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 8);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  return out;
-}
-
 }  // namespace
 
 const std::vector<SrclintRule>& srclint_rules() {
@@ -545,45 +520,37 @@ SrclintReport srclint_scan_tree(const std::string& root,
 }
 
 std::string srclint_report_json(const SrclintReport& report) {
-  std::ostringstream os;
-  os << "{\n";
-  os << "  \"tool\": \"hmd_srclint\",\n";
-  os << "  \"files_scanned\": " << report.files.size() << ",\n";
-  os << "  \"rules\": [\n";
-  const auto& rules = srclint_rules();
-  for (std::size_t r = 0; r < rules.size(); ++r) {
+  support::JsonWriter w;
+  w.str("tool", "hmd_srclint")
+      .num("files_scanned", report.files.size())
+      .array("rules");
+  for (const SrclintRule& rule : srclint_rules()) {
     std::size_t active = 0, suppressed = 0;
     for (const SrclintViolation& v : report.violations) {
-      if (v.rule != rules[r].id) continue;
+      if (v.rule != rule.id) continue;
       (v.suppressed ? suppressed : active)++;
     }
-    os << "    {\"id\": \"" << json_escape(rules[r].id) << "\", \"bans\": \""
-       << json_escape(rules[r].bans) << "\", \"violations\": " << active
-       << ", \"suppressed\": " << suppressed << "}"
-       << (r + 1 < rules.size() ? "," : "") << "\n";
+    w.inline_object()
+        .str("id", rule.id)
+        .str("bans", rule.bans)
+        .num("violations", active)
+        .num("suppressed", suppressed)
+        .end();
   }
-  os << "  ],\n";
-  os << "  \"violations\": [\n";
-  for (std::size_t i = 0; i < report.violations.size(); ++i) {
-    const SrclintViolation& v = report.violations[i];
-    os << "    {\"file\": \"" << json_escape(v.file)
-       << "\", \"line\": " << v.line << ", \"rule\": \""
-       << json_escape(v.rule) << "\", \"suppressed\": "
-       << (v.suppressed ? "true" : "false") << ", \"reason\": \""
-       << json_escape(v.reason) << "\", \"snippet\": \""
-       << json_escape(v.snippet) << "\"}"
-       << (i + 1 < report.violations.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-  os << "  \"errors\": [\n";
-  for (std::size_t i = 0; i < report.errors.size(); ++i) {
-    os << "    \"" << json_escape(report.errors[i]) << "\""
-       << (i + 1 < report.errors.size() ? "," : "") << "\n";
-  }
-  os << "  ],\n";
-  os << "  \"unsuppressed_total\": " << report.unsuppressed() << "\n";
-  os << "}\n";
-  return os.str();
+  w.end().array("violations");
+  for (const SrclintViolation& v : report.violations)
+    w.inline_object()
+        .str("file", v.file)
+        .num("line", v.line)
+        .str("rule", v.rule)
+        .boolean("suppressed", v.suppressed)
+        .str("reason", v.reason)
+        .str("snippet", v.snippet)
+        .end();
+  w.end().array("errors");
+  for (const std::string& e : report.errors) w.str({}, e);
+  w.end().num("unsuppressed_total", report.unsuppressed());
+  return w.text();
 }
 
 }  // namespace hmd::analysis

@@ -12,7 +12,6 @@ std::shared_ptr<Classifier> refit_with_windows(const Dataset& base,
   HMD_REQUIRE(base.num_rows() > 0);
   HMD_REQUIRE(num_features == base.num_features());
   HMD_REQUIRE(rows.size() == labels.size() * num_features);
-  HMD_REQUIRE(cfg.window_weight > 0.0);
 
   // Copy-on-write augmentation: `augmented` shares the base storage until
   // reserve() copies it, so the caller's split survives untouched. The
@@ -22,8 +21,7 @@ std::shared_ptr<Classifier> refit_with_windows(const Dataset& base,
   for (std::size_t i = 0; i < labels.size(); ++i) {
     const std::span<const double> row = rows.subspan(i * num_features,
                                                      num_features);
-    augmented.add_row(std::vector<double>(row.begin(), row.end()), labels[i],
-                      cfg.window_weight);
+    augmented.add_row(std::vector<double>(row.begin(), row.end()), labels[i]);
   }
 
   std::shared_ptr<Classifier> model =

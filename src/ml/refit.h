@@ -6,7 +6,7 @@
 // behaviour shifts — serve/fleet.h's FleetDriftConfig). The refresh path
 // deliberately does NOT train from scratch on drift data alone: the base
 // split anchors everything the model already knows, and the harvested
-// windows (weighted by RefitConfig::window_weight) pull the decision
+// windows, added at unit weight like the base rows, pull the decision
 // boundary toward the new regime. Augmentation is copy-on-write through
 // Dataset::add_row, so the caller's base split is never mutated — the same
 // idiom as the adversarial-retraining defense (attack/defense.h).
@@ -30,8 +30,6 @@ struct RefitConfig {
   ClassifierKind kind = ClassifierKind::kJRip;
   EnsembleKind ensemble = EnsembleKind::kBagging;
   std::uint64_t seed = 7;
-  /// Instance weight of each harvested window row relative to base rows.
-  double window_weight = 1.0;
 };
 
 /// Train a fresh detector on `base` plus the harvested window rows

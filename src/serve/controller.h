@@ -11,7 +11,7 @@
 // predict_proba_batch call and then steps each host's OnlineState
 // (core/online.h) with its score. Per-interval scalar scoring becomes
 // cross-host batched scoring; the speedup is the bench's headline
-// (bench/serve, BENCH_serve.json).
+// (bench/serve, BENCH_serve.json's measured.batched_speedup).
 //
 // Pipeline stages and roles:
 //
@@ -43,7 +43,8 @@
 // scores, alarm transitions, drift checks and the model swap — is
 // deterministic; everything *measured* (stage latencies, backpressure
 // stalls, throughput) lives in ServeTiming and is explicitly excluded from
-// the contract.
+// the contract. bench/serve mirrors the split: ServeCounters go to the
+// "deterministic" block of BENCH_serve.json, ServeTiming to "measured".
 #pragma once
 
 #include <cstdint>
@@ -115,8 +116,8 @@ struct ServeVerdict {
 };
 
 /// Deterministic domain: bit-identical across worker counts and batched vs
-/// unbatched scoring (fixed seed). The ci.sh serve leg diffs these across
-/// thread counts byte for byte.
+/// unbatched scoring (fixed seed). The ci.sh serve leg compares them, as
+/// BENCH_serve.json's deterministic block, across thread counts.
 struct ServeCounters {
   std::uint64_t hosts = 0;
   std::uint64_t ticks = 0;

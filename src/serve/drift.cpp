@@ -132,7 +132,6 @@ RetrainOutcome retrain_model(const FleetSetup& fleet,
   refit.kind = fleet.model_kind;
   refit.ensemble = fleet.model_ensemble;
   refit.seed = cfg.refit_seed != 0 ? cfg.refit_seed : fleet.model_seed;
-  refit.window_weight = cfg.window_weight;
 
   RetrainOutcome out;
   out.base_rows = base.num_rows();

@@ -181,8 +181,6 @@ struct RefreshConfig {
   std::uint32_t refresh_lag_ticks = 48;
   /// Cap on harvested window rows (deterministically subsampled).
   std::size_t max_window_rows = 4096;
-  /// Instance weight of harvested rows in the refit.
-  double window_weight = 1.0;
   /// Non-empty: the retrain re-captures the deployment training split
   /// under this checkpoint directory (auto-resume: fresh when empty,
   /// resumed when a matching manifest exists — kill-and-re-run safe).

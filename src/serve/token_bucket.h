@@ -12,8 +12,8 @@
 // Determinism: the bucket runs entirely on the virtual tick clock (integer
 // tokens, refilled by the single-threaded controller in tick order), so the
 // admitted/shed partition is a pure function of the workload and the
-// configuration — bit-identical at any worker count, which is what lets
-// BENCH_serve.json's shed counters participate in the determinism contract.
+// configuration — bit-identical at any worker count, which is what puts
+// the shed counters in BENCH_serve.json's deterministic block.
 #pragma once
 
 #include <cstdint>

@@ -191,7 +191,6 @@ TEST(RefitWithWindows, AugmentsWithoutMutatingTheBaseSplit) {
   const std::vector<int> labels(48, 1);
 
   ml::RefitConfig cfg;
-  cfg.window_weight = 2.0;
   const auto model = ml::refit_with_windows(base, rows, 4, labels, cfg);
   ASSERT_NE(model, nullptr);
   // Copy-on-write: the cached base split is untouched by the refit.

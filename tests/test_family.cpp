@@ -1,80 +1,12 @@
-// Tests for ARFF/CSV dataset I/O and the family classifier extension.
+// Tests for the family classifier extension.
 #include <gtest/gtest.h>
 
-#include <sstream>
-
 #include "core/family.h"
-#include "ml/arff.h"
 #include "support/check.h"
 #include "test_util.h"
 
 namespace hmd {
 namespace {
-
-// ------------------------------------------------------------------ arff --
-
-TEST(Arff, RoundTripPreservesEverything) {
-  const ml::Dataset original = testutil::gaussian_blobs(30, 2, 1, 1.0, 1);
-  std::stringstream ss;
-  ml::write_arff(ss, original, "roundtrip");
-  const ml::Dataset parsed = ml::read_arff(ss);
-
-  ASSERT_EQ(parsed.num_rows(), original.num_rows());
-  ASSERT_EQ(parsed.num_features(), original.num_features());
-  for (std::size_t i = 0; i < original.num_rows(); ++i) {
-    EXPECT_EQ(parsed.label(i), original.label(i));
-    EXPECT_EQ(parsed.group(i), original.group(i));
-    for (std::size_t f = 0; f < original.num_features(); ++f)
-      EXPECT_DOUBLE_EQ(parsed.row(i)[f], original.row(i)[f]);
-  }
-}
-
-TEST(Arff, RoundTripPreservesWeights) {
-  ml::Dataset d(std::vector<std::string>{"x"});
-  d.add_row({1.0}, 0, 2.5, 4);
-  d.add_row({2.0}, 1, 0.5, 9);
-  std::stringstream ss;
-  ml::write_arff(ss, d);
-  const ml::Dataset parsed = ml::read_arff(ss);
-  EXPECT_DOUBLE_EQ(parsed.weight(0), 2.5);
-  EXPECT_DOUBLE_EQ(parsed.weight(1), 0.5);
-  EXPECT_EQ(parsed.group(1), 9u);
-}
-
-TEST(Arff, HeaderMentionsWekaEssentials) {
-  ml::Dataset d(std::vector<std::string>{"branch_instructions"});
-  d.add_row({42.0}, 1);
-  std::stringstream ss;
-  ml::write_arff(ss, d);
-  const std::string text = ss.str();
-  EXPECT_NE(text.find("@RELATION"), std::string::npos);
-  EXPECT_NE(text.find("@ATTRIBUTE branch_instructions NUMERIC"),
-            std::string::npos);
-  EXPECT_NE(text.find("{benign,malware}"), std::string::npos);
-  EXPECT_NE(text.find("@DATA"), std::string::npos);
-}
-
-TEST(Arff, RejectsGarbage) {
-  std::stringstream ss("not arff at all");
-  EXPECT_THROW(ml::read_arff(ss), PreconditionError);
-}
-
-TEST(Arff, RejectsRowWithMissingValues) {
-  std::stringstream ss(
-      "@RELATION r\n@ATTRIBUTE a NUMERIC\n@ATTRIBUTE b NUMERIC\n"
-      "@ATTRIBUTE class {benign,malware}\n@DATA\n1.0,malware\n");
-  EXPECT_THROW(ml::read_arff(ss), PreconditionError);
-}
-
-TEST(Csv, HeaderAndRows) {
-  ml::Dataset d(std::vector<std::string>{"a", "b"});
-  d.add_row({1.0, 2.0}, 1);
-  std::stringstream ss;
-  ml::write_dataset_csv(ss, d);
-  EXPECT_EQ(ss.str(), "a,b,label\n1,2,1\n");
-}
-
-// ---------------------------------------------------------------- family --
 
 /// Three separable malware families along feature 0:
 /// benign ~0, famA ~5, famB ~10.

@@ -1,11 +1,13 @@
 // Unit tests for src/support: RNG determinism & distributions, statistics,
-// ranking helpers, table rendering, and the check macros.
+// ranking helpers, table rendering, the JSON writer, and the check macros.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <sstream>
 
 #include "support/check.h"
+#include "support/json.h"
 #include "support/rng.h"
 #include "support/stats.h"
 #include "support/table.h"
@@ -213,6 +215,60 @@ TEST(Table, CsvEscapesQuotesAndCommas) {
   std::ostringstream os;
   write_csv(os, {"x"}, {{R"(a,"b")"}});
   EXPECT_EQ(os.str(), "x\n\"a,\"\"b\"\"\"\n");
+}
+
+TEST(JsonWriter, EscapesQuotesBackslashesAndControlBytes) {
+  support::JsonWriter w;
+  w.str("s", "say \"hi\" C:\\dir\nnext\tcol\x01" "end");
+  EXPECT_EQ(w.text(), "{\n  \"s\": \"say \\\"hi\\\" C:\\\\dir\\nnext\\tcol"
+                      "\\u0001end\"\n}\n");
+}
+
+TEST(JsonWriter, PlacesCommasInNestedContainers) {
+  support::JsonWriter w;
+  w.str("bench", "b").num("schema", 1);
+  w.object("deterministic").array("cells");
+  for (int i = 0; i < 2; ++i)
+    w.inline_object().num("i", i).boolean("ok", i == 0).end();
+  w.end().array("empty").end().inline_object("pair").array("xs");
+  w.num({}, 0.5, 2).inline_object().hex("h", 255).end();
+  w.end().end().end().object("measured").num("nan", std::nan(""), 1).end();
+  EXPECT_EQ(w.text(),
+            "{\n"
+            "  \"bench\": \"b\",\n"
+            "  \"schema\": 1,\n"
+            "  \"deterministic\": {\n"
+            "    \"cells\": [\n"
+            "      {\"i\": 0, \"ok\": true},\n"
+            "      {\"i\": 1, \"ok\": false}\n"
+            "    ],\n"
+            "    \"empty\": [],\n"
+            "    \"pair\": {\"xs\": [0.50, {\"h\": \"00000000000000ff\"}]}\n"
+            "  },\n"
+            "  \"measured\": {\n"
+            "    \"nan\": null\n"
+            "  }\n"
+            "}\n");
+}
+
+TEST(JsonWriter, RejectsMisnestedMembers) {
+  support::JsonWriter w;
+  EXPECT_THROW(w.num({}, 1), PreconditionError);       // object needs a key
+  EXPECT_THROW(w.end(), PreconditionError);            // nothing to close
+  w.array("a");
+  EXPECT_THROW(w.num("k", 1), PreconditionError);      // array takes none
+  EXPECT_THROW((void)w.text(), PreconditionError);     // "a" still open
+}
+
+TEST(JsonWriter, ReportsAFailedWrite) {
+  EXPECT_FALSE(support::write_file("no-such-dir/report.json", "{}\n"));
+  if (std::filesystem::exists("/dev/full")) {  // fails at the close
+    EXPECT_FALSE(support::write_file("/dev/full", "{}\n"));
+  }
+  support::JsonWriter w;
+  w.str("bench", "b");
+  EXPECT_EXIT(w.save("no-such-dir/report.json", "b"),
+              ::testing::ExitedWithCode(1), "\\[b\\] cannot write");
 }
 
 TEST(Check, RequireThrowsWithLocation) {

@@ -11,11 +11,11 @@
 //   ./build/tools/hmd_srclint --list-rules
 #include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <iostream>
 #include <string>
 
 #include "analysis/srclint.h"
+#include "support/json.h"
 #include "support/parallel.h"
 
 namespace {
@@ -85,13 +85,10 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  {
-    std::ofstream json(out, std::ios::out | std::ios::trunc);
-    if (!json.good()) {
-      std::cerr << "hmd_srclint: cannot write report to " << out << "\n";
-      return 2;
-    }
-    json << hmd::analysis::srclint_report_json(report);
+  if (!hmd::support::write_file(out,
+                                hmd::analysis::srclint_report_json(report))) {
+    std::cerr << "hmd_srclint: cannot write report to " << out << "\n";
+    return 2;
   }
 
   std::size_t suppressed = 0;
